@@ -9,6 +9,10 @@ values of each cell through the root-mean-square norm
 face-separable quadratic energy exactly (so the splitting solver and the
 Poisson solver agree to solver precision for H(t) = t^2/2) while staying
 isotropic for mass-flow costs.
+
+Every Neumann Poisson solve, in the quadratic case and in each splitting
+iteration, is one orthonormal DCT-II: it diagonalizes the staggered
+five-point Laplacian, so each solve is exact and O(n log n) at any grid size.
 """
 
 from __future__ import annotations
@@ -18,8 +22,6 @@ from functools import lru_cache
 import heapq
 
 import numpy as np
-import scipy.sparse as sps
-import scipy.sparse.linalg as spla
 
 from .congestion import CongestionSpec
 from .errors import (
@@ -28,98 +30,89 @@ from .errors import (
     ShapeMismatchError,
     SingularSystemError,
 )
-from .grids import Grid, ScalarField, VectorField, divergence
+from .grids import Grid, ScalarField, VectorField
 from .kantorovich import Coupling, DiscreteMeasure, solve_discrete_ot
-
-DIRECT_SOLVE_MAX_CELLS = 128 * 128
-LINSOLVE_TOL = 1e-10
 
 
 class _StaggeredOps:
-    """Sparse divergence B, per-cell face gather R, and a factorized BB^T."""
+    """Slice stencils on the interior faces of an nx-by-ny grid: the divergence
+    B, the per-cell face gather R and their adjoints, plus the Neumann Poisson
+    solve of BB^T x = rhs by an orthonormal DCT-II, which diagonalizes BB^T.
 
-    def __init__(self, grid: Grid):
-        nx, ny, h = grid.nx, grid.ny, grid.h
-        self.grid = grid
+    A face vector w stacks the interior x-faces (nx-1, ny) and then the
+    interior y-faces (nx, ny-1), both x-major; cells are x-major too.
+    """
+
+    def __init__(self, nx: int, ny: int, h: float):
+        from scipy import fft  # only the grid flow solvers need it
+
+        self.nx, self.ny, self.h = nx, ny, h
         self.nfx = (nx - 1) * ny
-        self.nfy = nx * (ny - 1)
-        self.n_faces = self.nfx + self.nfy
-        n_cells = nx * ny
-
-        def cell(i, j):
-            return i * ny + j
-
-        def fx(i, j):  # interior vertical face at x = i*h, 1 <= i <= nx-1
-            return (i - 1) * ny + j
-
-        def fy(i, j):  # interior horizontal face at y = j*h, 1 <= j <= ny-1
-            return self.nfx + i * (ny - 1) + (j - 1)
-
-        rows_b, cols_b, vals_b = [], [], []
-        rows_r, cols_r = [], []
-        for i in range(nx):
-            for j in range(ny):
-                c = cell(i, j)
-                if i + 1 <= nx - 1:
-                    f = fx(i + 1, j)
-                    rows_b.append(c); cols_b.append(f); vals_b.append(1.0 / h)
-                    rows_r.append(4 * c + 1); cols_r.append(f)
-                if i >= 1:
-                    f = fx(i, j)
-                    rows_b.append(c); cols_b.append(f); vals_b.append(-1.0 / h)
-                    rows_r.append(4 * c + 0); cols_r.append(f)
-                if j + 1 <= ny - 1:
-                    f = fy(i, j + 1)
-                    rows_b.append(c); cols_b.append(f); vals_b.append(1.0 / h)
-                    rows_r.append(4 * c + 3); cols_r.append(f)
-                if j >= 1:
-                    f = fy(i, j)
-                    rows_b.append(c); cols_b.append(f); vals_b.append(-1.0 / h)
-                    rows_r.append(4 * c + 2); cols_r.append(f)
-
-        self.B = sps.csr_matrix((vals_b, (rows_b, cols_b)), shape=(n_cells, self.n_faces))
-        self.R = sps.csr_matrix((np.ones(len(rows_r)), (rows_r, cols_r)),
-                                shape=(4 * n_cells, self.n_faces))
-        self.A = (self.B @ self.B.T).tocsc()  # positive semidefinite, null = constants
-
-        pinned = self.A.tolil()
-        pinned[0, :] = 0.0
-        pinned[0, 0] = 1.0
-        self._pinned = pinned.tocsc()
-        self._direct = n_cells <= DIRECT_SOLVE_MAX_CELLS
-        self._lu = spla.splu(self._pinned) if self._direct else None
+        self.n_faces = self.nfx + nx * (ny - 1)
+        kx = 2.0 - 2.0 * np.cos(np.pi * np.arange(nx) / nx)
+        ky = 2.0 - 2.0 * np.cos(np.pi * np.arange(ny) / ny)
+        self._eig = (kx[:, None] + ky[None, :]) / (h * h)
+        self._eig[0, 0] = np.inf  # the constants span the null space: drop that mode
+        self._dctn, self._idctn = fft.dctn, fft.idctn
 
     def solve_poisson(self, rhs: np.ndarray) -> np.ndarray:
         """Solve BB^T x = rhs (rhs must sum to ~0); x pinned at cell 0."""
-        b = rhs.copy()
-        b[0] = 0.0
-        if self._direct:
-            x = self._lu.solve(b)
-        else:
-            x, info = spla.cg(self._pinned, b, rtol=LINSOLVE_TOL, maxiter=20000)
-            if info != 0:
-                raise SingularSystemError(f"iterative Poisson solve failed (info={info})")
-        return x
+        shape = (self.nx, self.ny)
+        xhat = self._dctn(rhs.reshape(shape), norm="ortho") / self._eig
+        x = self._idctn(xhat, norm="ortho").ravel()
+        return x - x[0]
+
+    def _split(self, w: np.ndarray):
+        nx, ny = self.nx, self.ny
+        return w[: self.nfx].reshape(nx - 1, ny), w[self.nfx:].reshape(nx, ny - 1)
+
+    def div(self, w: np.ndarray) -> np.ndarray:
+        """B w: the cell divergence, boundary faces carrying no flux."""
+        fx, fy = self._split(w)
+        d = np.zeros((self.nx, self.ny))
+        d[:-1, :] += fx
+        d[1:, :] -= fx
+        d[:, :-1] += fy
+        d[:, 1:] -= fy
+        return d.ravel() / self.h
+
+    def div_adjoint(self, x: np.ndarray) -> np.ndarray:
+        """B^T x: minus the face gradient of a cell field."""
+        x = x.reshape(self.nx, self.ny)
+        return np.concatenate([(x[:-1, :] - x[1:, :]).ravel(),
+                               (x[:, :-1] - x[:, 1:]).ravel()]) / self.h
+
+    def gather(self, w: np.ndarray) -> np.ndarray:
+        """R w: the (n_cells, 4) left, right, bottom, top faces of each cell."""
+        fx, fy = self._split(w)
+        out = np.zeros((self.nx, self.ny, 4))
+        out[1:, :, 0] = fx
+        out[:-1, :, 1] = fx
+        out[:, 1:, 2] = fy
+        out[:, :-1, 3] = fy
+        return out.reshape(-1, 4)
+
+    def gather_adjoint(self, z: np.ndarray) -> np.ndarray:
+        """R^T z: each interior face sums its entries in its two cells."""
+        z = z.reshape(self.nx, self.ny, 4)
+        return np.concatenate([(z[1:, :, 0] + z[:-1, :, 1]).ravel(),
+                               (z[:, 1:, 2] + z[:, :-1, 3]).ravel()])
 
     def faces_of(self, v: VectorField) -> np.ndarray:
-        nx, ny = self.grid.nx, self.grid.ny
-        w = np.empty(self.n_faces)
-        w[: self.nfx] = v.vx[1:nx, :].ravel()
-        w[self.nfx:] = v.vy[:, 1:ny].ravel()
-        return w
+        return np.concatenate([v.vx[1:-1, :].ravel(), v.vy[:, 1:-1].ravel()])
 
-    def field_of(self, w: np.ndarray) -> VectorField:
-        nx, ny = self.grid.nx, self.grid.ny
-        vx = np.zeros((nx + 1, ny))
-        vy = np.zeros((nx, ny + 1))
-        vx[1:nx, :] = w[: self.nfx].reshape(nx - 1, ny)
-        vy[:, 1:ny] = w[self.nfx:].reshape(nx, ny - 1)
-        return VectorField(vx, vy, self.grid)
+    def field_of(self, w: np.ndarray, grid: Grid) -> VectorField:
+        fx, fy = self._split(w)
+        vx = np.zeros((self.nx + 1, self.ny))
+        vy = np.zeros((self.nx, self.ny + 1))
+        vx[1:-1, :] = fx
+        vy[:, 1:-1] = fy
+        return VectorField(vx, vy, grid)
 
 
 @lru_cache(maxsize=16)
 def _ops(grid: Grid) -> _StaggeredOps:
-    return _StaggeredOps(grid)
+    return _StaggeredOps(grid.nx, grid.ny, grid.h)
 
 
 def _difference_density(mu: ScalarField, nu: ScalarField, grid: Grid) -> np.ndarray:
@@ -137,16 +130,16 @@ def solve_dual_quadratic(mu: ScalarField, nu: ScalarField, grid: Grid):
 
     Returns (u, v): u is the zero-mean potential with discrete Laplacian
     mu - nu, and v is its face gradient, which satisfies div v = mu - nu to
-    linear-solver tolerance.
+    rounding error.
     """
     ops = _ops(grid)
     f = _difference_density(mu, nu, grid)
     x = ops.solve_poisson(-f)
-    resid = float(np.abs(ops.A @ x + f).max(initial=0.0))
+    resid = float(np.abs(ops.div(ops.div_adjoint(x)) + f).max(initial=0.0))
     if resid > 1e-6 * (1.0 + np.abs(f).max(initial=0.0)):
         raise SingularSystemError(f"Poisson residual {resid} too large")
     x = x - x.mean()
-    v = ops.field_of(-(ops.B.T @ x))
+    v = ops.field_of(-ops.div_adjoint(x), grid)
     u = ScalarField(x.reshape(grid.nx, grid.ny), grid)
     return u, v
 
@@ -176,10 +169,11 @@ def solve_beckmann(mu: ScalarField, nu: ScalarField, spec: CongestionSpec, grid:
     """Minimal congested flow: min h^2 sum_c w_c H(|V|_c) s.t. div v = mu - nu.
 
     Splitting scheme: every iteration projects onto the divergence constraint
-    (one prefactorized Poisson solve) and applies the proximal map of H to the
-    co-located face magnitudes. Stops when the split residual and the iterate
-    change both fall below tol. The returned certificate is the Fenchel dual
-    value at a multiplier field recovered from the converged subgradient.
+    (one Neumann Poisson solve by a discrete cosine transform) and applies
+    the proximal map of H to the co-located face magnitudes. Stops when the
+    split residual and the iterate change both fall below tol. The returned
+    certificate is the Fenchel dual value at a multiplier field recovered
+    from the converged subgradient.
     """
     ops = _ops(grid)
     f = _difference_density(mu, nu, grid)
@@ -188,12 +182,6 @@ def solve_beckmann(mu: ScalarField, nu: ScalarField, spec: CongestionSpec, grid:
     if w.shape != (n_cells,):
         raise ShapeMismatchError("cell_weights must have one entry per cell")
     h2 = grid.cell_area
-
-    def gather(vv):
-        return (ops.R @ vv).reshape(n_cells, 4)
-
-    def cost_of(vv):
-        return float(h2 * np.dot(w, spec.H(_rms_norms(gather(vv)))))
 
     if np.abs(f).max(initial=0.0) == 0.0:
         vf = VectorField.zeros(grid)
@@ -205,14 +193,14 @@ def solve_beckmann(mu: ScalarField, nu: ScalarField, spec: CongestionSpec, grid:
     # feasible warm start from the quadratic solution
     _, v0 = solve_dual_quadratic(mu, nu, grid)
     v = ops.faces_of(v0)
-    q = gather(v)
+    q = ops.gather(v)
     lam = np.zeros_like(q)
 
     def project(zstack):
         """v-step: least squares onto {div v = f} given the gather target."""
-        rtz = ops.R.T @ zstack.ravel()
-        pi = ops.solve_poisson(ops.B @ rtz - 2.0 * f)
-        return 0.5 * (rtz - ops.B.T @ pi)
+        rtz = ops.gather_adjoint(zstack)
+        pi = ops.solve_poisson(ops.div(rtz) - 2.0 * f)
+        return 0.5 * (rtz - ops.div_adjoint(pi))
 
     converged = False
     split_res = np.inf
@@ -222,7 +210,7 @@ def solve_beckmann(mu: ScalarField, nu: ScalarField, spec: CongestionSpec, grid:
     for it in range(1, max_iter + 1):
         v_prev = v
         v = project(q - lam)
-        rv = gather(v)
+        rv = ops.gather(v)
         z2 = rv + lam
         m = _rms_norms(z2)
         tau = h2 * w / (2.0 * rho)
@@ -250,8 +238,7 @@ def solve_beckmann(mu: ScalarField, nu: ScalarField, spec: CongestionSpec, grid:
                 lam *= 2.0
 
     v_final = project(q - lam)  # exact feasibility of the returned flow
-    rv = gather(v_final)
-    cost = cost_of(v_final)
+    cost = float(h2 * np.dot(w, spec.H(_rms_norms(ops.gather(v_final)))))
 
     # multiplier field from the converged subgradient s_c = h^2 w g(m) q_c/(2m)
     m_q = _rms_norms(q)
@@ -259,12 +246,12 @@ def solve_beckmann(mu: ScalarField, nu: ScalarField, spec: CongestionSpec, grid:
     with np.errstate(invalid="ignore", divide="ignore"):
         coef = np.where(m_q > 0, h2 * w * gm / (2.0 * np.maximum(m_q, 1e-300)), 0.0)
     s = q * coef[:, None]
-    y = ops.solve_poisson(ops.B @ (ops.R.T @ s.ravel()))
+    y = ops.solve_poisson(ops.div(ops.gather_adjoint(s)))
     dual = _dual_value(ops, spec, y, f, w, h2)
     cert_gap = (cost - dual) / max(abs(cost), 1e-300)
 
-    vf = ops.field_of(v_final)
-    div_res = float(np.abs((ops.B @ v_final) - f).max(initial=0.0))
+    vf = ops.field_of(v_final, grid)
+    div_res = float(np.abs(ops.div(v_final) - f).max(initial=0.0))
     mult = ScalarField(y.reshape(grid.nx, grid.ny), grid)
     return BeckmannResult(vf, cost, it, converged, div_res, split_res, dual, cert_gap, mult)
 
@@ -272,9 +259,7 @@ def solve_beckmann(mu: ScalarField, nu: ScalarField, spec: CongestionSpec, grid:
 def _dual_value(ops, spec: CongestionSpec, y: np.ndarray, f: np.ndarray,
                 w: np.ndarray, h2: float) -> float:
     """Fenchel lower bound <y, f> - h^2 sum_c w_c H*(|gathered grad y|_w / (h^2 w_c))."""
-    grad = ops.B.T @ y
-    gath = (ops.R @ grad).reshape(-1, 4)
-    arg = _rms_norms(gath) / (h2 * w)
+    arg = _rms_norms(ops.gather(ops.div_adjoint(y))) / (h2 * w)
     if spec.family == "monomial" and spec.params.get("p") == 1.0:
         # bounded conjugate domain: shrink y onto it so the bound stays finite
         amax = float(arg.max(initial=0.0))

@@ -17,36 +17,41 @@ from .errors import CongestedTransportError
 _FD_POINTS = (0.1, 1.0, 10.0)
 _FD_STEP = 1e-5
 _FD_TOL = 1e-6
+# a Newton move this small relative to the iterate is rounding, not progress
+_ULPS = 8 * np.finfo(float).eps
 
 
 def _newton_power_prox(z, tau, p, shift=0.0):
     """Solve tau*s**(p-1) + s = z - tau*shift for s >= 0, elementwise.
 
-    Newton iteration safeguarded by the bracket [0, rhs]; f is monotone in s,
-    so bisection fallback makes the solve unconditionally convergent.
+    f(s) = tau*s**(p-1) + s - rhs is increasing. Newton starts at
+    min(rhs, (rhs/tau)**(1/(p-1))), where f >= 0, and is safeguarded by the
+    bracket [lo, hi] around the root, with bisection for a candidate outside
+    it. It stops once no element moves by more than a few ulps of its value:
+    convex f (p > 2) then descends to the root from the right, concave f
+    (p < 2) overshoots once and climbs to it from the left.
     """
     z = np.asarray(z, dtype=float)
     rhs = np.maximum(z - tau * shift, 0.0)
     lo = np.zeros_like(rhs)
     hi = rhs.copy()
-    s = rhs.copy()
-    tol = 1e-15 * (1.0 + float(np.max(rhs, initial=0.0)))
+    with np.errstate(over="ignore"):
+        s = np.minimum(rhs, np.power(rhs / tau, 1.0 / (p - 1.0)))
     for _ in range(100):
         sp = np.power(s, p - 1.0, where=s > 0, out=np.zeros_like(s))
         f = tau * sp + s - rhs
         below = f < 0
         lo = np.where(below, s, lo)
         hi = np.where(below, hi, s)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dsp = np.power(s, p - 2.0, where=s > 0, out=np.zeros_like(s))
-        df = tau * (p - 1.0) * dsp + 1.0
+        with np.errstate(divide="ignore", over="ignore"):
+            df = tau * (p - 1.0) * np.power(s, p - 2.0) + 1.0  # inf at s = 0 for p < 2
         step = np.where(np.isfinite(df) & (df > 0), f / df, 0.0)
         cand = s - step
-        bad = (cand <= lo) | (cand >= hi) | ~np.isfinite(cand)
+        bad = (cand < lo) | (cand > hi) | ~np.isfinite(cand)
         s_new = np.where(bad, 0.5 * (lo + hi), cand)
-        moved = float(np.max(np.abs(s_new - s), initial=0.0))
+        converged = np.all(np.abs(s_new - s) <= _ULPS * s_new)
         s = s_new
-        if moved < tol:
+        if converged:
             break
     return np.where(rhs > 0, s, 0.0)
 

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from congested_transport.congestion import CongestionSpec, EdgeCosts, as_edge_costs
+from congested_transport.congestion import (
+    CongestionSpec,
+    EdgeCosts,
+    _newton_power_prox,
+    as_edge_costs,
+)
 from congested_transport.errors import CongestedTransportError
 
 FAMILIES = [
@@ -43,6 +50,34 @@ def test_prox_solves_the_pointwise_problem(spec):
         oracle = 0.5 * (lo + hi)
         got = float(spec.prox(np.array([z]), tau)[0])
         assert got == pytest.approx(oracle, abs=5e-7)
+
+
+def _magnitudes(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(p=st.one_of(st.floats(1.0, 2.0, exclude_min=True, exclude_max=True),
+                   st.floats(2.0, 4.0, exclude_min=True)),
+       tau=_magnitudes(-12, 12),
+       shift=st.one_of(st.just(0.0), _magnitudes(-12, 6)),
+       z=st.lists(st.floats(-1e12, 1e12), min_size=1, max_size=8))
+def test_newton_power_prox_solves_its_equation(p, tau, shift, z):
+    z = np.array(z)
+    s = _newton_power_prox(z, tau, p, shift=shift)
+    rhs = np.maximum(z - tau * shift, 0.0)
+
+    def f(t):
+        return tau * t ** (p - 1.0) + t - rhs
+
+    assert np.all(s >= 0.0)
+    assert np.all(s[rhs <= 0] == 0.0)
+    # where the root is a subnormal or underflows to 0 the residual cannot
+    # reach 1e-12 relative; there s must be within one ulp of the root instead
+    solved = np.abs(f(s)) <= 1e-12 * rhs
+    nearest = ((s < np.finfo(float).tiny) & (f(np.nextafter(s, 0.0)) <= 0.0)
+               & (f(np.nextafter(s, np.inf)) >= 0.0))
+    assert np.all(solved | nearest)
 
 
 def test_affine_prox_shrinkage_threshold():
