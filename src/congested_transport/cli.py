@@ -282,7 +282,7 @@ def _parse_firms(path):
             parts = line.split()
             if parts[0].lower() != "point" or len(parts) < 3:
                 raise InputFormatError(f"{path}:{lineno}: expected 'point <coords...> <price>'")
-            vals = [float(x) for x in parts[1:]]
+            vals = kantorovich.parse_numbers(parts[1:], f"{path}:{lineno}")
             pts.append(vals[:-1])
             prices.append(vals[-1])
     return np.array(pts), np.array(prices)
@@ -427,18 +427,22 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _metric_exponent(args) -> float:
+    """p of the '--metric lp <p>' option, or the command's default."""
+    if args.metric is None:
+        return 1.0 if args.command == "hotelling" else 2.0
+    kind, p = args.metric
+    if kind != "lp":
+        raise InputFormatError(f"unknown metric kind {kind!r}")
+    return kantorovich.parse_numbers([p], "--metric lp")[0]
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    metric = getattr(args, "metric", None)
-    if metric is not None:
-        if metric[0] != "lp":
-            print(f"error: unknown metric kind {metric[0]!r}", file=sys.stderr)
-            return 1
-        args.metric_p = float(metric[1])
-    elif hasattr(args, "metric"):
-        args.metric_p = 1.0 if args.command == "hotelling" else 2.0
     try:
+        if hasattr(args, "metric"):
+            args.metric_p = _metric_exponent(args)
         return args.func(args)
     except CongestedTransportError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -72,3 +72,7 @@ class DomainTooSmallError(CongestedTransportError):
 
 class InputFormatError(CongestedTransportError):
     """A problem file does not follow its documented format."""
+
+
+class TransportSolverError(CongestedTransportError):
+    """The exact transport solver found no augmenting path or hit its guard."""

@@ -2,8 +2,10 @@
 costs, the potential-as-derivative identity, and Hotelling price recovery.
 
 The solver is a successive-shortest-path min-cost flow on the dense bipartite
-graph. It maintains dual feasibility and complementary slackness throughout,
-so the returned potentials certify optimality by strong duality.
+graph, with one compiled Dijkstra (scipy.sparse.csgraph) per augmentation. It
+maintains dual feasibility and complementary slackness throughout, so the
+returned potentials certify optimality by strong duality. scipy.sparse is
+imported on first use, so importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from .errors import (
     InputFormatError,
     MassMismatchError,
     NonFiniteCostError,
+    TransportSolverError,
 )
 
 MASS_RTOL = 1e-10
@@ -164,62 +167,54 @@ def solve_discrete_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, cost) -> OTResul
 def _ssp(cost, a, b, plan, u, v, tol):
     """Successive shortest paths with potentials on the dense bipartite graph.
 
+    Each augmentation runs one compiled multi-source Dijkstra over the
+    residual graph: nodes are the m sources then the n sinks, forward arcs
+    i -> m+j carry the reduced cost, and backward arcs m+j -> i carry 0
+    wherever plan[i, j] > tol. The target is the lowest-index sink that still
+    needs mass at minimum distance.
+
     Invariants: cost - u[:,None] - v[None,:] >= 0 everywhere, and zero on
     every arc with plan > 0. Each augmentation zeroes a remaining supply, a
     remaining deficit, or a plan entry, so the loop is finite.
     """
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import dijkstra
+
     m, n = cost.shape
     a_rem = a.copy()
     b_rem = b.copy()
     iterations = 0
     guard = 50 * (m + n) + 1000
+    # forward arcs are fixed; explicit zeros in the CSR are edges to csgraph
+    fwd_indices = np.tile(np.arange(m, m + n, dtype=np.int32), m)
+    fwd_indptr = np.arange(0, m * n + 1, n, dtype=np.int32)
 
     while True:
-        roots = a_rem > tol
-        if not roots.any():
+        roots = np.flatnonzero(a_rem > tol)
+        if roots.size == 0:
             break
         iterations += 1
         if iterations > guard:
-            raise RuntimeError("transport solver exceeded its augmentation guard")
+            raise TransportSolverError("transport solver exceeded its augmentation guard")
 
-        dist_s = np.where(roots, 0.0, np.inf)
-        dist_t = np.full(n, np.inf)
-        done_s = np.zeros(m, dtype=bool)
-        done_t = np.zeros(n, dtype=bool)
-        parent_t = np.full(n, -1, dtype=np.int64)  # settled via forward arc from source
-        parent_s = np.full(m, -1, dtype=np.int64)  # settled via backward arc from sink
-        target = -1
+        snk, src = np.divmod(np.flatnonzero(plan.T > tol), m)
+        rc = cost - u[:, None]
+        rc -= v
+        np.maximum(rc, 0.0, out=rc)
+        graph = csr_array(
+            (np.concatenate([rc.ravel(), np.zeros(src.size)]),
+             np.concatenate([fwd_indices, src.astype(np.int32)]),
+             np.concatenate([fwd_indptr,
+                             m * n + np.cumsum(np.bincount(snk, minlength=n), dtype=np.int32)])),
+            shape=(m + n, m + n))
+        dist, pred, _ = dijkstra(graph, indices=roots, min_only=True, return_predecessors=True)
+        dist_s, dist_t = dist[:m], dist[m:]
 
-        while True:
-            ds = np.where(done_s, np.inf, dist_s)
-            dt = np.where(done_t, np.inf, dist_t)
-            i_best = int(np.argmin(ds))
-            j_best = int(np.argmin(dt))
-            best_s = ds[i_best]
-            best_t = dt[j_best]
-            if not np.isfinite(min(best_s, best_t)):
-                raise RuntimeError("no augmenting path found; cost matrix disconnected?")
-            if best_t <= best_s:
-                # settle sink; stop at the nearest sink that still needs mass
-                done_t[j_best] = True
-                if b_rem[j_best] > tol:
-                    target = j_best
-                    break
-                backward = (plan[:, j_best] > tol) & ~done_s
-                if backward.any():
-                    cand = dist_t[j_best]  # backward reduced cost is zero
-                    upd = backward & (cand < dist_s)
-                    dist_s[upd] = cand
-                    parent_s[upd] = j_best
-            else:
-                done_s[i_best] = True
-                rc = np.maximum(cost[i_best] - u[i_best] - v, 0.0)
-                cand = dist_s[i_best] + rc
-                upd = ~done_t & (cand < dist_t)
-                dist_t[upd] = cand[upd]
-                parent_t[upd] = i_best
-
-        d_star = dist_t[target]
+        open_dist = np.where(b_rem > tol, dist_t, np.inf)
+        target = int(np.argmin(open_dist))
+        d_star = open_dist[target]
+        if not np.isfinite(d_star):
+            raise TransportSolverError("no augmenting path found; supply exceeds demand?")
         # potential update keeps reduced costs nonnegative and support arcs tight
         u -= np.minimum(dist_s, d_star)
         v += np.minimum(dist_t, d_star)
@@ -229,9 +224,9 @@ def _ssp(cost, a, b, plan, u, v, tol):
         arcs_bwd = []
         j = target
         while True:
-            i = int(parent_t[j])
+            i = int(pred[m + j])
             arcs_fwd.append((i, j))
-            j_prev = int(parent_s[i])
+            j_prev = int(pred[i]) - m
             if j_prev < 0:
                 root = i
                 break
@@ -328,29 +323,17 @@ def _union_support(mu: DiscreteMeasure, mu1: DiscreteMeasure):
 
 def _support_connected(plan: np.ndarray, a: np.ndarray, b: np.ndarray) -> bool:
     """True when the optimal-plan support graph joins every positive-mass node."""
+    from scipy.sparse import coo_array
+    from scipy.sparse.csgraph import connected_components
+
     m, n = plan.shape
-    parent = list(range(m + n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    thr = SUPPORT_EPS * max(1.0, plan.sum())
-    ii, jj = np.nonzero(plan > thr)
-    for i, j in zip(ii, jj):
-        union(int(i), m + int(j))
-    live = [i for i in range(m) if a[i] > 0] + [m + j for j in range(n) if b[j] > 0]
-    if not live:
+    live = np.concatenate([a > 0, b > 0])
+    if not live.any():
         return True
-    root = find(live[0])
-    return all(find(x) == root for x in live)
+    ii, jj = np.nonzero(plan > SUPPORT_EPS * max(1.0, plan.sum()))
+    support = coo_array((np.ones(ii.size), (ii, m + jj)), shape=(m + n, m + n))
+    _, labels = connected_components(support, directed=False)
+    return bool(np.all(labels[live] == labels[live][0]))
 
 
 @dataclass
@@ -483,6 +466,14 @@ def hotelling_recover_prices(firm_points: np.ndarray, demands: np.ndarray,
     return prices - prices[0]
 
 
+def parse_numbers(fields, where: str) -> list[float]:
+    """The fields of one input line as floats; InputFormatError if one is not a number."""
+    try:
+        return [float(x) for x in fields]
+    except ValueError:
+        raise InputFormatError(f"{where}: non-numeric field in {' '.join(fields)!r}") from None
+
+
 def parse_measure(text: str) -> DiscreteMeasure:
     """Read 'point <x> [<y> ...] <weight>' lines ('#' starts a comment)."""
     pts = []
@@ -495,7 +486,7 @@ def parse_measure(text: str) -> DiscreteMeasure:
         parts = line.split()
         if parts[0].lower() != "point" or len(parts) < 3:
             raise InputFormatError(f"line {lineno}: expected 'point <coords...> <weight>'")
-        vals = [float(x) for x in parts[1:]]
+        vals = parse_numbers(parts[1:], f"line {lineno}")
         coords, w = vals[:-1], vals[-1]
         if dim is None:
             dim = len(coords)

@@ -159,6 +159,31 @@ def test_input_error_exit_code(tmp_path):
     assert rc == 1
 
 
+def test_ot_metric_exponent_not_a_number(tmp_path, capsys):
+    write(tmp_path / "a.pts", "point 0.0 1.0\n")
+    rc = main(["ot", "--mu", str(tmp_path / "a.pts"), "--nu", str(tmp_path / "a.pts"),
+               "--metric", "lp", "x", "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: --metric lp: non-numeric field")
+
+
+def test_ot_measure_non_numeric_field(tmp_path, capsys):
+    write(tmp_path / "a.pts", "point 0.0 1.0\npoint 0.5 oops\n")
+    rc = main(["ot", "--mu", str(tmp_path / "a.pts"), "--nu", str(tmp_path / "a.pts"),
+               "--metric", "lp", "1", "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: line 2: non-numeric field")
+
+
+def test_hotelling_firm_non_numeric_field(tmp_path, capsys):
+    write(tmp_path / "firms.pts", "point 0.0 0.0\npoint one 0.5\n")
+    write(tmp_path / "consumers.pts", "point 0.5 1.0\n")
+    rc = main(["hotelling", "--firms", str(tmp_path / "firms.pts"),
+               "--consumers", str(tmp_path / "consumers.pts"), "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'firms.pts'}:2: non-numeric")
+
+
 def test_nonconvergence_exit_code(tmp_path):
     from congested_transport.grids import Grid, ScalarField, save_scalar_csv
 

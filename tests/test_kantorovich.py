@@ -2,14 +2,19 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from congested_transport.errors import (
     DegenerateDualError,
     MassMismatchError,
     NonFiniteCostError,
+    TransportSolverError,
 )
 from congested_transport.kantorovich import (
     DiscreteMeasure,
+    _ssp,
     check_coupling,
     check_potentials,
     gateaux_check,
@@ -220,3 +225,57 @@ def test_parse_measure():
     assert m.n == 2
     assert m.total_mass == pytest.approx(3.0)
     assert m.points.shape == (2, 2)
+
+
+def test_ssp_excess_supply_has_no_augmenting_path():
+    cost = np.array([[0.0, 1.0], [1.0, 0.0]])
+    u = cost.min(axis=1)
+    v = (cost - u[:, None]).min(axis=0)
+    with pytest.raises(TransportSolverError, match="no augmenting path"):
+        _ssp(cost, np.array([1.0, 1.0]), np.array([0.5, 0.5]), np.zeros((2, 2)), u, v, 1e-13)
+
+
+def _linprog_value(a, b, cost):
+    """Transport value by the HiGHS linear program, independent of the SSP solver."""
+    m, n = cost.shape
+    rows = np.kron(np.eye(m), np.ones(n))
+    cols = np.kron(np.ones(m), np.eye(n))
+    res = linprog(cost.ravel(), A_eq=np.vstack([rows, cols]),
+                  b_eq=np.concatenate([a, b]), bounds=(0, None), method="highs")
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
+@st.composite
+def _transport_problems(draw):
+    m = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 8))
+    weight = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+    a = np.array(draw(st.lists(weight, min_size=m, max_size=m)))
+    b = np.array(draw(st.lists(weight, min_size=n, max_size=n)))
+    if a.sum() == 0:
+        a[0] = 1.0
+    if b.sum() == 0:
+        b[-1] = 1.0
+    b *= a.sum() / b.sum()
+    # integer costs in 0..3 tie often, so the optimal plans are degenerate
+    entry = draw(st.sampled_from([st.integers(0, 3).map(float), st.floats(-5.0, 5.0)]))
+    cost = np.array(draw(st.lists(entry, min_size=m * n, max_size=m * n))).reshape(m, n)
+    return a, b, cost
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(problem=_transport_problems())
+def test_solve_discrete_ot_certifies_optimality(problem):
+    a, b, cost = problem
+    res = solve_discrete_ot(DiscreteMeasure(weights=a), DiscreteMeasure(weights=b), cost)
+    plan, phi, psi = res.coupling.plan, res.potentials.phi, res.potentials.psi
+    assert plan.min() >= 0.0
+    assert np.abs(plan.sum(axis=1) - a).max() <= 1e-12
+    assert np.abs(plan.sum(axis=0) - b).max() <= 1e-12
+    slack = cost - phi[:, None] - psi[None, :]
+    scale = 1e-12 * (1.0 + np.abs(cost).max())
+    assert slack.min() >= -scale
+    assert np.abs(slack[plan > 0]).max(initial=0.0) <= scale
+    assert abs(res.value - res.dual_value) <= 1e-12 * (1.0 + abs(res.value))
+    assert res.value == pytest.approx(_linprog_value(a, b, cost), abs=1e-9)
