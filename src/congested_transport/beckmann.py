@@ -260,11 +260,11 @@ def _dual_value(ops, spec: CongestionSpec, y: np.ndarray, f: np.ndarray,
                 w: np.ndarray, h2: float) -> float:
     """Fenchel lower bound <y, f> - h^2 sum_c w_c H*(|gathered grad y|_w / (h^2 w_c))."""
     arg = _rms_norms(ops.gather(ops.div_adjoint(y))) / (h2 * w)
-    if spec.family == "monomial" and spec.params.get("p") == 1.0:
-        # bounded conjugate domain: shrink y onto it so the bound stays finite
+    if spec.p == 1.0:
+        # bounded conjugate domain arg <= 1 + a: shrink y onto it so the bound stays finite
         amax = float(arg.max(initial=0.0))
-        if amax > 1.0:
-            y = y / amax
+        if amax > 1.0 + spec.a:
+            y = y / (amax / (1.0 + spec.a))
         return float(np.dot(y, f))
     conj = spec.conjugate(arg)
     return float(np.dot(y, f) - h2 * np.dot(w, conj))

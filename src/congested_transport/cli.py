@@ -3,7 +3,7 @@ machine-readable reports (report.json plus plot-ready CSV artifacts).
 
 Exit codes: 0 converged, 1 input error, 2 solver returned its best iterate
 without meeting the tolerance. Reports are byte-stable across runs with equal
-inputs and seed, except for the timing block.
+inputs, except for the timing block.
 """
 
 from __future__ import annotations
@@ -54,6 +54,14 @@ def _csv(path, array, header=None):
             fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
 
 
+def _amount(text: str, path, lineno: int) -> float:
+    """A demand or marginal value; InputFormatError unless it is a finite number."""
+    value = kantorovich.parse_numbers([text], f"{path}:{lineno}")[0]
+    if not np.isfinite(value):
+        raise InputFormatError(f"{path}:{lineno}: demand value must be finite, got {text!r}")
+    return value
+
+
 def _parse_demand(path, net: network.Network):
     """Demand file: 'demand <s> <d> <v>' lines, or 'mu <label> <v>' and
     'nu <label> <v>' lines for prescribed marginals."""
@@ -72,12 +80,12 @@ def _parse_demand(path, net: network.Network):
                 s, d = label_to_id.get(parts[1]), label_to_id.get(parts[2])
                 if s is None or d is None:
                     raise InputFormatError(f"{path}:{lineno}: unknown node label")
-                fixed[(s, d)] = fixed.get((s, d), 0.0) + float(parts[3])
+                fixed[(s, d)] = fixed.get((s, d), 0.0) + _amount(parts[3], path, lineno)
             elif kind in ("mu", "nu") and len(parts) == 3:
                 node = label_to_id.get(parts[1])
                 if node is None:
                     raise InputFormatError(f"{path}:{lineno}: unknown node label")
-                (mu if kind == "mu" else nu)[node] = float(parts[2])
+                (mu if kind == "mu" else nu)[node] = _amount(parts[2], path, lineno)
             else:
                 raise InputFormatError(f"{path}:{lineno}: unrecognized demand line")
     if fixed and (mu or nu):
@@ -182,7 +190,7 @@ def _cmd_beckmann(args) -> int:
         "dual_value": res.dual_value,
         "certificate_gap": res.certificate_gap,
     }
-    if spec.family == "quadratic":
+    if spec == congestion.CongestionSpec.quadratic():
         _, v_ref = solve_dual_quadratic(mu, nu, grid)
         ref_cost = float(grid.cell_area * np.sum(spec.H(v_ref.cell_magnitude_rms())))
         results["poisson_reference_cost"] = ref_cost
@@ -205,7 +213,11 @@ def _cmd_city(args) -> int:
     if spread_cfg.get("family") == "quadratic":
         spread = urbanplan.SpreadSpec.quadratic()
     else:
-        spread = urbanplan.SpreadSpec.power(float(spread_cfg["m"]))
+        m = spread_cfg.get("m")
+        if not isinstance(m, (int, float)) or not np.isfinite(m):
+            raise InputFormatError(f"{args.config}: a power spread needs a finite exponent 'm', "
+                                   f"got {m!r}")
+        spread = urbanplan.SpreadSpec.power(float(m))
     conc_cfg = cfg.get("concentration", {"kind": "interaction"})
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -264,7 +276,7 @@ def _cmd_city(args) -> int:
     _csv(out / "nu_atoms.csv",
          np.column_stack([nu_atoms.points, nu_atoms.weights]),
          header=["x", "y", "weight"])
-    _write_report(out, "city", {"config_file": str(args.config), **cfg, "seed": args.seed},
+    _write_report(out, "city", {"config_file": str(args.config), **cfg},
                   {"config": args.config}, results, t0)
     return 0 if converged else 2
 
@@ -365,7 +377,6 @@ def _resolved(args, **extra) -> dict:
     conf = {
         "tol": getattr(args, "tol", None),
         "max_iter": getattr(args, "max_iter", None),
-        "seed": getattr(args, "seed", None),
         "out": str(getattr(args, "out", ".")),
     }
     conf.update(extra)
@@ -383,7 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--tol", type=float, default=1e-6)
         p.add_argument("--max-iter", dest="max_iter", type=int, default=5000)
-        p.add_argument("--seed", type=int, default=0)
 
     pw = sub.add_parser("wardrop", help="congested traffic assignment on a network")
     pw.add_argument("--net", required=True)

@@ -1,8 +1,12 @@
-"""Convex link-cost families H and their derivatives, proximal maps, and conjugates.
+"""The congestion cost family H(t) = a*t + t^p/p with a >= 0 and p >= 1.
 
-H maps a nonnegative flow (or flux magnitude) to a cost density; g = H' is the
-congestioned unit cost. The proximal map and the convex conjugate are consumed
-by the grid flow solver.
+H maps a nonnegative flow (or flux magnitude) to a cost density; g = H' =
+a + t^(p-1) is the congestioned unit cost, and g(0) = a is the cost of an
+empty road. This is the link-cost law of Beckmann, McGuire & Winsten (1956)
+and of Carlier, Jimenez & Santambrogio (2008). The three configuration tags
+name points of it: 'quadratic' is (0, 2), 'monomial p' is (0, p) and
+'affine_power a p' is (a, p); p = 1 is the linear mass-flow cost. The
+proximal map and the convex conjugate are consumed by the grid flow solver.
 """
 
 from __future__ import annotations
@@ -14,11 +18,10 @@ import numpy as np
 
 from .errors import CongestedTransportError
 
-_FD_POINTS = (0.1, 1.0, 10.0)
-_FD_STEP = 1e-5
-_FD_TOL = 1e-6
 # a Newton move this small relative to the iterate is rounding, not progress
 _ULPS = 8 * np.finfo(float).eps
+# parameter names of each configuration tag, in the order they are written
+_TAGS = {"quadratic": (), "monomial": ("p",), "affine_power": ("a", "p")}
 
 
 def _newton_power_prox(z, tau, p, shift=0.0):
@@ -56,171 +59,132 @@ def _newton_power_prox(z, tau, p, shift=0.0):
     return np.where(rhs > 0, s, 0.0)
 
 
+def _power(t, e):
+    """t**e elementwise. numpy squares (square-roots) for a scalar exponent 2
+    (0.5) but calls pow, which can differ in the last bit, for an exponent
+    array; doing the same per entry keeps edge arrays equal to single specs."""
+    out = np.power(t, e)
+    if np.ndim(e):
+        np.square(t, out=out, where=e == 2.0)
+        np.sqrt(t, out=out, where=e == 0.5)
+    return out
+
+
 @dataclass(frozen=True)
 class CongestionSpec:
-    """A convex increasing cost H with derivative g, prox, and conjugate.
+    """H(t) = a*t + t^p/p on t >= 0, with a >= 0 and p >= 1.
 
     Attributes:
-        H: vectorized map t -> cost density, H(0) = 0, convex nondecreasing.
-        g: vectorized derivative H'.
+        a: slope at zero flow, the cost of an empty road.
+        p: growth exponent; p = 1 is the linear mass-flow cost.
         prox: (z, tau) -> argmin_{s>=0} tau*H(s) + (s-z)^2/2, elementwise.
-        conjugate: vectorized H*(s) = sup_t t*s - H(t) on s >= 0 (may be inf).
-        family: tag, one of "quadratic", "affine_power", "monomial", "custom".
-        params: family parameters, e.g. {"a": 0.5, "p": 2.0}.
+            Defaults to the map of (a, p); a caller may wrap it.
     """
 
-    H: Callable[[np.ndarray], np.ndarray]
-    g: Callable[[np.ndarray], np.ndarray]
-    prox: Callable[[np.ndarray, float], np.ndarray]
-    conjugate: Callable[[np.ndarray], np.ndarray]
-    family: str = "custom"
-    params: dict = field(default_factory=dict)
+    a: float = 0.0
+    p: float = 2.0
+    prox: Callable[[np.ndarray, float], np.ndarray] = field(default=None, compare=False,
+                                                            repr=False)
 
     def __post_init__(self):
-        h0 = float(self.H(np.array(0.0)))
-        if abs(h0) > 1e-12:
-            raise CongestedTransportError(f"H(0) must be 0, got {h0}")
-        for t in _FD_POINTS:
-            fd = (float(self.H(np.array(t + _FD_STEP))) - float(self.H(np.array(t - _FD_STEP)))) / (2 * _FD_STEP)
-            gv = float(self.g(np.array(t)))
-            if abs(fd - gv) > _FD_TOL:
-                raise CongestedTransportError(
-                    f"g is not the derivative of H at t={t}: finite diff {fd} vs g {gv}"
-                )
-            if gv < -1e-12:
-                raise CongestedTransportError(f"H must be nondecreasing, g({t}) = {gv} < 0")
+        try:
+            a, p = float(self.a), float(self.p)
+        except (TypeError, ValueError):
+            raise CongestedTransportError(
+                f"congestion parameters must be numbers, got a={self.a!r} p={self.p!r}"
+            ) from None
+        if not (np.isfinite(a) and np.isfinite(p) and a >= 0 and p >= 1):
+            raise CongestedTransportError(
+                f"congestion needs finite a >= 0 and p >= 1, got a={a} p={p}")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "p", p)
+        if self.prox is None or getattr(self.prox, "__func__", None) is CongestionSpec._prox:
+            # (re)bind the default map, so replace(spec, a=...) cannot keep the old one
+            object.__setattr__(self, "prox", self._prox)
 
     @staticmethod
     def quadratic() -> "CongestionSpec":
         """H(t) = t^2/2, the strictly convex textbook case."""
-        return CongestionSpec(
-            H=lambda t: 0.5 * np.square(t),
-            g=lambda t: np.asarray(t, dtype=float),
-            prox=lambda z, tau: np.asarray(z, dtype=float) / (1.0 + tau),
-            conjugate=lambda s: 0.5 * np.square(s),
-            family="quadratic",
-            params={},
-        )
+        return CongestionSpec(0.0, 2.0)
 
     @staticmethod
     def monomial(p: float) -> "CongestionSpec":
         """H(t) = t^p / p with p >= 1. p = 1 is the classic mass-flow cost."""
-        if p < 1:
-            raise CongestedTransportError(f"monomial exponent must satisfy p >= 1, got {p}")
-        if p == 1.0:
-            return CongestionSpec(
-                H=lambda t: np.asarray(t, dtype=float),
-                g=lambda t: np.ones_like(np.asarray(t, dtype=float)),
-                prox=lambda z, tau: np.maximum(np.asarray(z, dtype=float) - tau, 0.0),
-                conjugate=lambda s: np.where(np.asarray(s, dtype=float) <= 1.0 + 1e-12, 0.0, np.inf),
-                family="monomial",
-                params={"p": 1.0},
-            )
-        q = p / (p - 1.0)
-        return CongestionSpec(
-            H=lambda t: np.power(np.asarray(t, dtype=float), p) / p,
-            g=lambda t: np.power(np.asarray(t, dtype=float), p - 1.0),
-            prox=lambda z, tau: _newton_power_prox(z, tau, p),
-            conjugate=lambda s: np.power(np.maximum(np.asarray(s, dtype=float), 0.0), q) / q,
-            family="monomial",
-            params={"p": float(p)},
-        )
+        return CongestionSpec(0.0, p)
 
     @staticmethod
     def affine_power(a: float, p: float) -> "CongestionSpec":
-        """H(t) = a*t + t^p/p with a >= 0, p > 1; g(0) = a > 0 models a nonempty-road cost."""
-        if a < 0:
-            raise CongestedTransportError(f"affine coefficient must be >= 0, got {a}")
-        if p <= 1:
-            raise CongestedTransportError(f"power exponent must satisfy p > 1, got {p}")
-        q = p / (p - 1.0)
-
-        def conj(s):
-            return np.power(np.maximum(np.asarray(s, dtype=float) - a, 0.0), q) / q
-
-        if p == 2.0:
-            prox = lambda z, tau: np.maximum(np.asarray(z, dtype=float) - tau * a, 0.0) / (1.0 + tau)
-        else:
-            prox = lambda z, tau: _newton_power_prox(z, tau, p, shift=a)
-        return CongestionSpec(
-            H=lambda t: a * np.asarray(t, dtype=float) + np.power(np.asarray(t, dtype=float), p) / p,
-            g=lambda t: a + np.power(np.asarray(t, dtype=float), p - 1.0),
-            prox=prox,
-            conjugate=conj,
-            family="affine_power",
-            params={"a": float(a), "p": float(p)},
-        )
-
-    def describe(self) -> str:
-        if self.family == "quadratic":
-            return "quadratic"
-        if self.family == "monomial":
-            return f"monomial {self.params['p']:g}"
-        if self.family == "affine_power":
-            return f"affine_power {self.params['a']:g} {self.params['p']:g}"
-        return "custom"
+        """H(t) = a*t + t^p/p; g(0) = a > 0 models a nonempty-road cost."""
+        return CongestionSpec(a, p)
 
     @staticmethod
     def from_config(text: str) -> "CongestionSpec":
         """Parse 'quadratic' | 'affine_power <a> <p>' | 'monomial <p>'."""
-        parts = text.split()
-        if not parts:
-            raise CongestedTransportError("empty congestion spec")
-        kind = parts[0].lower()
-        if kind == "quadratic":
-            return CongestionSpec.quadratic()
-        if kind == "affine_power":
-            if len(parts) != 3:
-                raise CongestedTransportError("affine_power requires two parameters: a p")
-            return CongestionSpec.affine_power(float(parts[1]), float(parts[2]))
-        if kind == "monomial":
-            if len(parts) != 2:
-                raise CongestedTransportError("monomial requires one parameter: p")
-            return CongestionSpec.monomial(float(parts[1]))
-        raise CongestedTransportError(f"unknown congestion family {kind!r}")
+        kind, *values = text.split() or [""]
+        names = _TAGS.get(kind.lower())
+        if names is None:
+            raise CongestedTransportError(f"unknown congestion family {kind!r}")
+        if len(values) != len(names):
+            raise CongestedTransportError(
+                f"{kind} takes {len(names)} parameter(s) {' '.join(names)}, got {len(values)}"
+            )
+        return CongestionSpec(**dict(zip(names, values)))
+
+    def describe(self) -> str:
+        """The configuration tag of (a, p); from_config reads it back exactly."""
+        a, p = (repr(x).removesuffix(".0") for x in (self.a, self.p))
+        if self.a != 0.0:
+            return f"affine_power {a} {p}"
+        return "quadratic" if self.p == 2.0 else f"monomial {p}"
+
+    def H(self, t):
+        t = np.asarray(t, dtype=float)
+        return self.a * t + _power(t, self.p) / self.p
+
+    def g(self, t):
+        return self.a + _power(np.asarray(t, dtype=float), self.p - 1.0)
+
+    def _prox(self, z, tau):
+        z = np.asarray(z, dtype=float)
+        if self.p == 1.0:
+            return np.maximum(z - tau * (1.0 + self.a), 0.0)
+        if self.p == 2.0:
+            return np.maximum(z - tau * self.a, 0.0) / (1.0 + tau)
+        return _newton_power_prox(z, tau, self.p, shift=self.a)
+
+    def conjugate(self, s):
+        """H*(s) = sup_{t>=0} t*s - H(t): ((s-a)_+)^q/q with 1/p + 1/q = 1, or
+        for p = 1 the indicator of s <= 1 + a (0 there, inf beyond)."""
+        s = np.asarray(s, dtype=float)
+        if self.p == 1.0:
+            return np.where(s <= 1.0 + self.a + 1e-12, 0.0, np.inf)
+        q = self.p / (self.p - 1.0)
+        return np.power(np.maximum(s - self.a, 0.0), q) / q
 
 
 class EdgeCosts:
-    """Per-edge congestion costs: one CongestionSpec per edge.
+    """Per-edge costs H_e(t) = a_e*t + t^p_e/p_e.
 
-    Accepts a single spec (applied to every edge) or a sequence of specs.
-    Evaluation vectorizes over groups of edges sharing a spec.
+    Built from one CongestionSpec shared by every edge, which keeps a and p
+    scalars, or from one spec per edge, which makes them per-edge arrays.
     """
 
     def __init__(self, spec, n_edges: int):
         if isinstance(spec, CongestionSpec):
-            specs = [spec] * n_edges
+            self.a, self.p = spec.a, spec.p
         else:
             specs = list(spec)
             if len(specs) != n_edges:
                 raise CongestedTransportError(
                     f"{len(specs)} edge cost specs for {n_edges} edges"
                 )
-        self.specs = specs
+            self.a = np.array([sp.a for sp in specs])
+            self.p = np.array([sp.p for sp in specs])
         self.n_edges = n_edges
-        self._groups: list[tuple[CongestionSpec, np.ndarray]] = []
-        seen: dict[int, list[int]] = {}
-        order: list[int] = []
-        for e, sp in enumerate(specs):
-            if id(sp) not in seen:
-                seen[id(sp)] = []
-                order.append(id(sp))
-            seen[id(sp)].append(e)
-        by_id = {id(sp): sp for sp in specs}
-        for k in order:
-            self._groups.append((by_id[k], np.array(seen[k], dtype=np.int64)))
 
-    def H(self, flows: np.ndarray) -> np.ndarray:
-        out = np.empty(self.n_edges)
-        for sp, idx in self._groups:
-            out[idx] = sp.H(flows[idx])
-        return out
-
-    def g(self, flows: np.ndarray) -> np.ndarray:
-        out = np.empty(self.n_edges)
-        for sp, idx in self._groups:
-            out[idx] = sp.g(flows[idx])
-        return out
+    # the law of one spec; with array a and p it runs over every edge at once
+    H = CongestionSpec.H
+    g = CongestionSpec.g
 
 
 def as_edge_costs(spec, n_edges: int) -> EdgeCosts:

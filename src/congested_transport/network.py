@@ -50,20 +50,12 @@ class Network:
             adj[tail].append((eid, head))
         return adj
 
-    def label_of(self, node: int) -> str:
-        if self.labels is not None and node < len(self.labels):
-            return self.labels[node]
-        return str(node)
-
 
 @dataclass
 class PathSet:
     """Simple paths tagged with their (source, dest) pair, as edge-id tuples."""
 
     paths: list[tuple[int, int, tuple[int, ...]]] = field(default_factory=list)
-
-    def for_pair(self, s: int, d: int) -> list[tuple[int, ...]]:
-        return [p for (ps, pd, p) in self.paths if ps == s and pd == d]
 
     def __len__(self) -> int:
         return len(self.paths)
@@ -240,7 +232,7 @@ def parse_network(text: str) -> Network:
         parts = line.split()
         kind = parts[0].lower()
         if kind == "nodes":
-            if len(parts) != 2:
+            if len(parts) != 2 or not parts[1].isdecimal():
                 raise InputFormatError(f"line {lineno}: expected 'nodes <n>'")
             n_nodes = int(parts[1])
         elif kind == "edge":

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .congestion import CongestionSpec, EdgeCosts, as_edge_costs
+from .congestion import EdgeCosts, as_edge_costs
 from .errors import (
     DecompositionFailureError,
     InputFormatError,
@@ -110,11 +110,15 @@ def all_or_nothing(net: Network, xi: np.ndarray, coupling: np.ndarray) -> np.nda
     coupling = np.asarray(coupling, dtype=float)
     if np.any(coupling < 0):
         raise InputFormatError("coupling must be nonnegative")
-    table = shortest_distances(net, xi)
+    return _route(net, shortest_distances(net, xi), coupling)
+
+
+def _route(net: Network, table, gamma: np.ndarray) -> np.ndarray:
+    """Link flows of sending each mass gamma[si, di] along the table's witness path."""
     flows = np.zeros(net.n_edges)
     for si, s in enumerate(net.sources):
         for di, d in enumerate(net.dests):
-            mass = coupling[si, di]
+            mass = gamma[si, di]
             if mass <= 0:
                 continue
             if (s, d) not in table.path:
@@ -236,17 +240,7 @@ def _frank_wolfe(net, spec, demand, tol, max_iter):
             nu = DiscreteMeasure(weights=demand.nu)
             gamma = solve_discrete_ot(mu, nu, dmat).coupling.plan
         lp_value = float(np.sum(dmat[gamma > 0] * gamma[gamma > 0]))
-        flows = np.zeros(net.n_edges)
-        for si, s in enumerate(net.sources):
-            for di, d in enumerate(net.dests):
-                mass = gamma[si, di]
-                if mass <= 0:
-                    continue
-                if (s, d) not in table.path:
-                    raise UnreachableError(s, d)
-                for e in table.path[(s, d)]:
-                    flows[e] += mass
-        return flows, gamma, lp_value
+        return _route(net, table, gamma), gamma, lp_value
 
     xi = costs.g(np.zeros(net.n_edges))
     flows0, gamma0, _ = direction_vertex(xi)

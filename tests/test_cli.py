@@ -206,13 +206,13 @@ def _strip_timing(report):
 
 
 def test_determinism_across_runs(two_route):
-    # identical inputs, seed, and output path: everything but timing is
+    # identical inputs and output path: everything but timing is
     # byte-stable across repeated runs
     out = two_route / "run"
     snapshots = []
     for _ in range(2):
         rc = main(["wardrop", "--net", str(two_route / "net.net"),
-                   "--demand", str(two_route / "fixed.dem"), "--seed", "7",
+                   "--demand", str(two_route / "fixed.dem"),
                    "--out", str(out)])
         assert rc == 0
         snapshots.append({
@@ -223,3 +223,64 @@ def test_determinism_across_runs(two_route):
     assert _strip_timing(snapshots[0]["report"]) == _strip_timing(snapshots[1]["report"])
     assert snapshots[0]["flows"] == snapshots[1]["flows"]
     assert snapshots[0]["coupling"] == snapshots[1]["coupling"]
+
+
+def _wardrop_error(tmp_path, capsys, net_text, dem_text, *extra):
+    """Exit code and stderr of a wardrop run on the given network and demand."""
+    write(tmp_path / "n.net", net_text)
+    write(tmp_path / "d.dem", dem_text)
+    rc = main(["wardrop", "--net", str(tmp_path / "n.net"), "--demand", str(tmp_path / "d.dem"),
+               *extra, "--out", str(tmp_path / "run")])
+    return rc, capsys.readouterr().err
+
+
+def test_wardrop_edge_cost_parameter_not_a_number(tmp_path, capsys):
+    rc, err = _wardrop_error(tmp_path, capsys,
+                             "nodes 2\nedge s d affine_power x 2\nsource s\ndest d\n",
+                             "demand s d 1\n")
+    assert rc == 1
+    assert err.startswith("error: congestion parameters must be numbers")
+
+
+def test_wardrop_H_parameter_not_a_number(tmp_path, capsys):
+    rc, err = _wardrop_error(tmp_path, capsys, "nodes 2\nedge s d\nsource s\ndest d\n",
+                             "demand s d 1\n", "--H", "monomial x")
+    assert rc == 1
+    assert err.startswith("error: congestion parameters must be numbers")
+
+
+def test_wardrop_H_parameter_not_finite(tmp_path, capsys):
+    rc, err = _wardrop_error(tmp_path, capsys, "nodes 2\nedge s d\nsource s\ndest d\n",
+                             "demand s d 1\n", "--H", "monomial nan")
+    assert rc == 1
+    assert err.startswith("error: congestion needs finite a >= 0 and p >= 1")
+
+
+def test_network_node_count_not_a_number(tmp_path, capsys):
+    rc, err = _wardrop_error(tmp_path, capsys, "nodes abc\nedge s d\nsource s\ndest d\n",
+                             "demand s d 1\n")
+    assert rc == 1
+    assert err.startswith("error: line 1: expected 'nodes <n>'")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_demand_value_not_finite(tmp_path, capsys, value):
+    rc, err = _wardrop_error(tmp_path, capsys, "nodes 2\nedge s d\nsource s\ndest d\n",
+                             f"demand s d {value}\n")
+    assert rc == 1
+    assert err.startswith(f"error: {tmp_path / 'd.dem'}:1: demand value must be finite")
+
+
+def test_demand_value_not_a_number(tmp_path, capsys):
+    rc, err = _wardrop_error(tmp_path, capsys, "nodes 2\nedge s d\nsource s\ndest d\n",
+                             "mu s one\nnu d 1\n")
+    assert rc == 1
+    assert err.startswith(f"error: {tmp_path / 'd.dem'}:1: non-numeric field")
+
+
+def test_city_power_spread_without_exponent(tmp_path, capsys):
+    write(tmp_path / "city.json", json.dumps({"spread": {"family": "power"}}))
+    rc = main(["city", "--config", str(tmp_path / "city.json"), "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {tmp_path / 'city.json'}: a power spread needs a finite exponent 'm'")

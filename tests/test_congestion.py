@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -104,25 +106,47 @@ def test_conjugate_quadratic_and_affine():
 
 
 def test_from_config_round_trip():
-    for text in ("quadratic", "affine_power 0.5 3", "monomial 2"):
+    for text in ("quadratic", "affine_power 0.5 3", "monomial 2", "monomial 1.7",
+                 "affine_power 0.123456789 2.718281828459045"):
         spec = CongestionSpec.from_config(text)
-        assert spec.describe().split()[0] == text.split()[0]
+        back = CongestionSpec.from_config(spec.describe())
+        assert (back.a, back.p) == (spec.a, spec.p)
+    assert CongestionSpec.from_config("monomial 2") == CongestionSpec.quadratic()
+    assert CongestionSpec.from_config("affine_power 0 3") == CongestionSpec.monomial(3.0)
     with pytest.raises(CongestedTransportError):
         CongestionSpec.from_config("nope")
     with pytest.raises(CongestedTransportError):
         CongestionSpec.from_config("monomial 0.5")
     with pytest.raises(CongestedTransportError):
-        CongestionSpec.affine_power(-1.0, 2.0)
+        CongestionSpec.from_config("affine_power 1")
 
 
-def test_inconsistent_derivative_rejected():
-    with pytest.raises(CongestedTransportError):
-        CongestionSpec(
-            H=lambda t: 0.5 * np.square(t),
-            g=lambda t: 2.0 * np.asarray(t, dtype=float),  # wrong slope
-            prox=lambda z, tau: z,
-            conjugate=lambda s: s,
-        )
+def test_parameters_outside_the_family_rejected():
+    for a, p in ((-1.0, 2.0), (-1e-300, 3.0), (0.0, 0.999), (1.0, 0.0),
+                 (np.nan, 2.0), (0.0, np.nan), (np.inf, 2.0), (0.0, np.inf), ("x", 2.0)):
+        with pytest.raises(CongestedTransportError):
+            CongestionSpec(a, p)
+    for text in ("monomial x", "monomial nan", "monomial inf", "affine_power x 2",
+                 "affine_power 1 -inf", "affine_power 1e400 2"):
+        with pytest.raises(CongestedTransportError):
+            CongestionSpec.from_config(text)
+
+
+def test_prox_survives_replace_and_is_not_compared():
+    spec = CongestionSpec.affine_power(0.5, 3.0)
+    calls = []
+
+    def counted(z, tau):
+        calls.append(tau)
+        return spec.prox(z, tau)
+
+    wrapped = replace(spec, prox=counted)
+    assert wrapped == spec
+    assert np.array_equal(wrapped.prox(np.array([2.0]), 0.5), spec.prox(np.array([2.0]), 0.5))
+    assert calls == [0.5]
+    moved = replace(spec, a=0.0)
+    assert np.array_equal(moved.prox(np.array([2.0]), 0.5),
+                          CongestionSpec.monomial(3.0).prox(np.array([2.0]), 0.5))
 
 
 def test_edge_costs_grouping_matches_per_edge_eval():
@@ -137,3 +161,17 @@ def test_edge_costs_grouping_matches_per_edge_eval():
     assert np.allclose(same.H(flows), [0.5, 2.0, 4.5])
     with pytest.raises(CongestedTransportError):
         EdgeCosts([quad], 3)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
+                          st.one_of(st.sampled_from([1.0, 1.5, 2.0, 3.0]), st.floats(1.0, 4.0)),
+                          st.floats(0.0, 1e3)),
+                min_size=1, max_size=12))
+def test_edge_cost_arrays_match_each_spec(edges):
+    specs = [CongestionSpec(a, p) for a, p, _ in edges]
+    flows = np.array([t for _, _, t in edges])
+    costs = EdgeCosts(specs, len(specs))
+    for i, spec in enumerate(specs):
+        assert costs.H(flows)[i] == spec.H(flows)[i]
+        assert costs.g(flows)[i] == spec.g(flows)[i]

@@ -216,17 +216,12 @@ def test_brute_force_marginals():
     assert abs(res.objective - orc.objective) <= 1e-5 * (1 + res.objective)
 
 
-def test_cost_scaling_leaves_flows_unchanged():
+def test_monomial_flows_scale_with_demand():
+    # g = t^2 is homogeneous, so doubling the demand doubles the equilibrium flows
     net = diamond()
-    specs1 = [QUAD, AFFQ, LIN, QUAD]
-    specs10 = [
-        CongestionSpec(H=lambda t, s=s: 10 * s.H(t), g=lambda t, s=s: 10 * s.g(t),
-                       prox=s.prox, conjugate=s.conjugate)
-        for s in specs1
-    ]
-    r1 = solve_fixed_demand(net, specs1, [[2.0]], tol=1e-8)
-    r10 = solve_fixed_demand(net, specs10, [[2.0]], tol=1e-8)
-    assert np.abs(r1.flows - r10.flows).max() <= 1e-5
+    r1 = solve_fixed_demand(net, CUBE, [[1.0]], tol=1e-8)
+    r2 = solve_fixed_demand(net, CUBE, [[2.0]], tol=1e-8)
+    assert np.abs(r2.flows - 2.0 * r1.flows).max() <= 1e-5
 
 
 def test_demand_spec_validation():
