@@ -200,16 +200,42 @@ def _cmd_beckmann(args) -> int:
     return 0 if res.converged else 2
 
 
+def _config_section(cfg: dict, key: str, default: dict, where) -> dict:
+    """cfg[key] (or default); InputFormatError unless it is a JSON object."""
+    section = cfg.get(key, default)
+    if not isinstance(section, dict):
+        raise InputFormatError(f"{where}: {key!r} must be an object, got {section!r}")
+    return section
+
+
+def _config_number(cfg: dict, key: str, default, where, integer: bool = False):
+    """cfg[key] (or default) as a float, or an int if integer; InputFormatError
+    unless it is a finite JSON number (integral if integer)."""
+    value = cfg.get(key, default)
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not np.isfinite(value) or (integer and value != int(value))):
+        kind = "an integer" if integer else "a finite number"
+        raise InputFormatError(f"{where}: {key!r} must be {kind}, got {value!r}")
+    return int(value) if integer else float(value)
+
+
 def _cmd_city(args) -> int:
     t0 = time.time()
+    where = args.config
     with open(args.config, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    gspec = cfg.get("grid", {})
-    grid = grids.Grid(nx=int(gspec.get("nx", 64)), ny=int(gspec.get("ny", 64)),
-                      h=float(gspec.get("h", 1.0 / 64)))
-    p = float(cfg.get("p", 2))
-    tol = float(cfg.get("tol", 1e-6))
-    spread_cfg = cfg.get("spread", {"family": "quadratic"})
+        try:
+            cfg = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InputFormatError(f"{where}: not valid JSON ({exc})") from None
+    if not isinstance(cfg, dict):
+        raise InputFormatError(f"{where}: the config must be a JSON object")
+    gspec = _config_section(cfg, "grid", {}, where)
+    grid = grids.Grid(nx=_config_number(gspec, "nx", 64, where, integer=True),
+                      ny=_config_number(gspec, "ny", 64, where, integer=True),
+                      h=_config_number(gspec, "h", 1.0 / 64, where))
+    p = _config_number(cfg, "p", 2, where)
+    tol = _config_number(cfg, "tol", 1e-6, where)
+    spread_cfg = _config_section(cfg, "spread", {"family": "quadratic"}, where)
     if spread_cfg.get("family") == "quadratic":
         spread = urbanplan.SpreadSpec.quadratic()
     else:
@@ -218,7 +244,7 @@ def _cmd_city(args) -> int:
             raise InputFormatError(f"{args.config}: a power spread needs a finite exponent 'm', "
                                    f"got {m!r}")
         spread = urbanplan.SpreadSpec.power(float(m))
-    conc_cfg = cfg.get("concentration", {"kind": "interaction"})
+    conc_cfg = _config_section(cfg, "concentration", {"kind": "interaction"}, where)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -226,10 +252,11 @@ def _cmd_city(args) -> int:
         g_tag = conc_cfg.get("g", "power")
         if g_tag != "power":
             raise InputFormatError(f"unknown atomic pole cost {g_tag!r} (supported: 'power')")
-        conc = urbanplan.ConcentrationSpec.atomic_power(float(conc_cfg.get("exponent", 0.5)))
-        res = urbanplan.minimize_with_atomic_G(p, spread, conc,
-                                               k_max=int(cfg.get("k_max", 3)),
-                                               grid=grid, tol=tol)
+        conc = urbanplan.ConcentrationSpec.atomic_power(
+            _config_number(conc_cfg, "exponent", 0.5, where))
+        res = urbanplan.minimize_with_atomic_G(
+            p, spread, conc, k_max=_config_number(cfg, "k_max", 3, where, integer=True),
+            grid=grid, tol=tol)
         results = {
             "value": res.value,
             "k": res.k,
@@ -248,9 +275,10 @@ def _cmd_city(args) -> int:
         potential = None
         multiplier = None
     else:
-        lam = float(cfg.get("lambda", 1.0))
-        res = urbanplan.solve_quadratic_city(lam, grid, tol=tol,
-                                             n_atom_side=int(cfg.get("n_atom_side", 12)))
+        lam = _config_number(cfg, "lambda", 1.0, where)
+        res = urbanplan.solve_quadratic_city(
+            lam, grid, tol=tol,
+            n_atom_side=_config_number(cfg, "n_atom_side", 12, where, integer=True))
         results = {
             "value": res.value,
             "iterations": res.iterations,

@@ -7,11 +7,18 @@ mu lives on the grid as a density; nu is a cloud of weighted atoms. The
 transport potentials between the grid and the atoms are Kantorovich duals:
 computed by the exact transport solver at small sizes and by warm-started
 ascent on the atom potentials (with the grid side eliminated by c-transform)
-at grid scale.
+at grid scale. Each ascent evaluation recomputes the reduced-cost argmin only
+on the cells whose stored best-to-second-best gap (with a rounding margin)
+the step may have closed, in the manner of Elkan's bound-pruned k-means
+(ICML 2003), so it returns the dense argmin's floats. The level C is the
+float-exact root of a monotone mass, found by regula falsi and finished to
+adjacent floats, so it does not depend on the search path; the pole search
+evaluates each golden-section probe once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -27,6 +34,7 @@ from .grids import Grid, ScalarField
 from .kantorovich import DiscreteMeasure, solve_discrete_ot
 
 EXACT_OT_MAX_SIDE = 600
+_EPS = float(np.finfo(float).eps)
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +154,14 @@ class GridAtomTransport:
     calls, so the atom-side potential is kept warm. Small problems go through
     the exact solver; larger ones maximize the dual in the atom potentials
     directly (the grid side is always the c-transform).
+
+    The ascent keeps, for its last accepted potentials, each cell's argmin
+    atom and a lower bound on the gap to its second-best reduced cost. A step
+    delta lowers that gap by at most max(delta) - delta[argmin], so a cell
+    whose bound stays above a few ulps of the costs and potentials keeps its
+    argmin, and only the other cells are recomputed. The results are those of
+    the dense argmin bit for bit, ties (to the lowest index) included; the
+    state carries over between warm calls.
     """
 
     def __init__(self, cell_points: np.ndarray, atom_points: np.ndarray, p: float):
@@ -155,8 +171,17 @@ class GridAtomTransport:
         diff = cell_points[:, None, :] - self.atom_points[None, :, :]
         dist = np.sqrt(np.sum(diff * diff, axis=2))
         self.cost = np.power(dist, p)
+        self._cost_max = float(np.abs(self.cost).max())
+        self._scale = float(self.cost.max() - self.cost.min()) + 1e-12
         self.beta = np.zeros(self.atom_points.shape[0])
         self._step = None  # last accepted ascent step, kept warm across calls
+        # At the last accepted ascent potentials b: (b, each row's argmin, a
+        # lower bound on its gap between the best and second-best reduced
+        # cost, its cost at the argmin). Gaps start at -inf, so the first
+        # evaluation computes every row.
+        m = self.cost.shape[0]
+        self._bound = (self.beta, np.zeros(m, dtype=np.int64), np.full(m, -np.inf),
+                       np.zeros(m))
 
     def solve(self, cell_masses: np.ndarray, atom_weights: np.ndarray,
               exact: bool | None = None, max_ascent: int = 400):
@@ -194,20 +219,51 @@ class GridAtomTransport:
             return psi, self.beta.copy(), assign, res.value
         return self._dual_ascent(cell_masses, atom_weights, max_iter=max_ascent)
 
+    def _reduced_argmin(self, b):
+        """The row-wise argmin of cost - b and its value, as the dense argmin
+        finds them, plus the bound state at b. Rows whose stored gap outlasts
+        the step from the bound's potentials keep their argmin; only the
+        others are recomputed."""
+        b_ref, assign, gap, cost_a = self._bound
+        # Rounding margin. With M = max|cost| + max|b_ref| + max|b|, every
+        # value rounded for a kept row (a reduced cost, a potential step, the
+        # drop max(delta) - delta[a] of a row's reduced cost against the
+        # others, a gap) has magnitude at most 2M, so one rounding errs by at
+        # most 2^-53 * 2M = eps * M. Carrying a gap across a step or recomputing
+        # it takes at most 6 such errors, 1 of them for two reduced costs to
+        # stay strictly ordered once rounded. A margin of 16 eps M keeps each
+        # stored gap below the exact gap, so a row is kept only when its
+        # float argmin cannot differ from the stored one, exact ties (which
+        # go to the lowest index) included.
+        margin = 16.0 * _EPS * (self._cost_max + np.abs(b_ref).max() + np.abs(b).max())
+        delta = b - b_ref
+        gap = gap - ((delta.max() + margin) - delta)[assign]
+        stale = np.flatnonzero(~(gap > 0.0))
+        if stale.size:
+            red = self.cost[stale]  # a copy: subtract in place
+            red -= b
+            a = np.argmin(red, axis=1)
+            rows = np.arange(stale.size)
+            best = red[rows, a]
+            red[rows, a] = np.inf
+            assign, cost_a = assign.copy(), cost_a.copy()
+            assign[stale] = a
+            gap[stale] = (red.min(axis=1) - best) - margin
+            cost_a[stale] = self.cost[stale, a]
+        return cost_a - b[assign], assign, (b, assign, gap, cost_a)
+
     def _dual_ascent(self, cell_masses, atom_weights, max_iter: int = 400):
         beta = self.beta.copy()
         total = float(cell_masses.sum())
-        scale = float(self.cost.max() - self.cost.min()) + 1e-12
+        scale = self._scale
 
         def evaluate(b):
-            red = self.cost - b[None, :]
-            assign = np.argmin(red, axis=1)
-            psi = red[np.arange(red.shape[0]), assign]
+            psi, assign, bound = self._reduced_argmin(b)
             load = np.bincount(assign, weights=cell_masses, minlength=b.shape[0])
             dual = float(np.dot(cell_masses, psi) + np.dot(atom_weights, b))
-            return psi, assign, load, dual
+            return psi, assign, load, dual, bound
 
-        psi, assign, load, dual = evaluate(beta)
+        psi, assign, load, dual, self._bound = evaluate(beta)
         step = self._step if self._step is not None else 0.5 * scale
         for _ in range(max_iter):
             grad = atom_weights - load
@@ -217,9 +273,10 @@ class GridAtomTransport:
             improved = False
             for _ in range(14):
                 cand = beta + step * grad / max(total, 1e-12)
-                psi_c, assign_c, load_c, dual_c = evaluate(cand)
+                psi_c, assign_c, load_c, dual_c, bound_c = evaluate(cand)
                 if dual_c > dual + 1e-15 * (1.0 + abs(dual)):
                     beta, psi, assign, load, dual = cand, psi_c, assign_c, load_c, dual_c
+                    self._bound = bound_c
                     step *= 1.4
                     improved = True
                     break
@@ -230,10 +287,7 @@ class GridAtomTransport:
                 break
         self._step = step
         self.beta = beta
-        value = float(np.dot(cell_masses, psi) + np.dot(atom_weights - load, beta))
-        # primal value from the assignment (feasible up to boundary cells)
-        primal = float(np.dot(cell_masses, self.cost[np.arange(self.cost.shape[0]), assign]))
-        return psi, beta.copy(), assign, max(dual, min(primal, dual))
+        return psi, beta.copy(), assign, dual
 
 
 # ---------------------------------------------------------------------------
@@ -362,22 +416,61 @@ def _mass_for_level(level, psi, spread, cell_area):
 
 
 def _solve_level(psi, spread, cell_area, target, hi_cap: float = 1e6):
-    """Bisection for the constant C with h^2 sum (f')^{-1}((C - psi)_+) = target."""
-    lo = float(psi.min())
+    """The constant C with h^2 sum (f')^{-1}((C - psi)_+) = target.
+
+    The float mass is nondecreasing in C, so the answer depends on the floats
+    alone: with C* the smallest float above min(psi) whose mass reaches the
+    target, it is the midpoint of C* and the float below it, which is where
+    bisection stops. Illinois regula falsi narrows the bracket, a step that
+    rounds onto an end moves off it by a doubling number of ulps, and two
+    steps in a row that fail to halve the bracket are followed by a
+    bisection step.
+    """
+    base = lo = float(psi.min())
     width = 1.0
-    hi = lo + width
-    while _mass_for_level(hi, psi, spread, cell_area) < target:
+    hi = base + width
+    f_lo = None
+    f_hi = _mass_for_level(hi, psi, spread, cell_area) - target
+    while f_hi < 0.0:
+        lo, f_lo = hi, f_hi  # C* lies above every level that falls short
         width *= 2.0
-        hi = lo + width
+        hi = base + width
         if width > hi_cap:
             raise BisectionFailureError("level bracket exceeded its growth cap")
-    for _ in range(100):
+        f_hi = _mass_for_level(hi, psi, spread, cell_area) - target
+    if f_lo is None:
+        f_lo = _mass_for_level(lo, psi, spread, cell_area) - target
+    side = slow = 0
+    nudge = 0.0
+    while True:
         mid = 0.5 * (lo + hi)
-        if _mass_for_level(mid, psi, spread, cell_area) < target:
-            lo = mid
+        if mid <= lo or mid >= hi:
+            return mid
+        x = mid
+        if slow < 2 and f_lo < 0.0 <= f_hi:
+            x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+            if lo < x < hi:
+                nudge = 0.0
+            else:
+                # the step rounds onto an end, so C* is within ulps of it:
+                # step off that end by one ulp, then by twice the last nudge
+                nudge = 2.0 * nudge if nudge else math.ulp(lo if x <= lo else hi)
+                x = lo + nudge if x <= lo else hi - nudge
+                if not lo < x < hi:
+                    x = mid
+        before = hi - lo
+        f_x = _mass_for_level(x, psi, spread, cell_area) - target
+        if f_x < 0.0:
+            lo, f_lo = x, f_x
+            if side < 0:
+                f_hi *= 0.5
+            side = -1
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            hi, f_hi = x, f_x
+            if side > 0:
+                f_lo *= 0.5
+            side = 1
+        slow = slow + 1 if hi - lo > 0.5 * before else 0
 
 
 def solve_p_nu(nu: DiscreteMeasure, p: float, spread: SpreadSpec, grid: Grid,
@@ -744,22 +837,28 @@ def _pole_best_position(points: np.ndarray, masses: np.ndarray, start: np.ndarra
 
     y = np.array(start, dtype=float)
     span = points.max(axis=0) - points.min(axis=0) + 1e-9
-
-    def cost_at(yy):
-        d = np.sqrt(np.sum((points - yy[None, :]) ** 2, axis=1))
-        return float(np.dot(masses, np.power(d, p)))
-
     gr = (np.sqrt(5.0) - 1.0) / 2.0
     for _ in range(3):
         for axis in (0, 1):
+            # the probes of one sweep move y[axis] only, and golden-section
+            # points often repeat bit for bit: square the fixed axis once and
+            # evaluate each probe once
+            fixed = (points[:, 1 - axis] - y[1 - axis]) ** 2
+            moving = points[:, axis]
+            costs = {}
+
+            def cost_at(t):
+                if t not in costs:
+                    d = np.sqrt(fixed + (moving - t) ** 2)
+                    costs[t] = float(np.dot(masses, np.power(d, p)))
+                return costs[t]
+
             lo = y[axis] - span[axis]
             hi = y[axis] + span[axis]
             c = hi - gr * (hi - lo)
             d = lo + gr * (hi - lo)
             for _ in range(40):
-                yc = y.copy(); yc[axis] = c
-                yd = y.copy(); yd[axis] = d
-                if cost_at(yc) < cost_at(yd):
+                if cost_at(c) < cost_at(d):
                     hi = d
                 else:
                     lo = c

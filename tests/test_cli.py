@@ -284,3 +284,38 @@ def test_city_power_spread_without_exponent(tmp_path, capsys):
     assert rc == 1
     assert capsys.readouterr().err.startswith(
         f"error: {tmp_path / 'city.json'}: a power spread needs a finite exponent 'm'")
+
+
+_ATOMIC = {"concentration": {"kind": "atomic", "g": "power"}}
+
+
+@pytest.mark.parametrize("cfg, message", [
+    ({"p": "x"}, "'p' must be a finite number, got 'x'"),
+    ({"p": None}, "'p' must be a finite number, got None"),
+    ({"tol": [1e-6]}, "'tol' must be a finite number, got [1e-06]"),
+    ({"lambda": True}, "'lambda' must be a finite number, got True"),
+    ({"n_atom_side": 2.5}, "'n_atom_side' must be an integer, got 2.5"),
+    ({**_ATOMIC, "k_max": "3"}, "'k_max' must be an integer, got '3'"),
+    ({"concentration": {"kind": "atomic", "exponent": "half"}},
+     "'exponent' must be a finite number, got 'half'"),
+    ({"grid": {"nx": "many"}}, "'nx' must be an integer, got 'many'"),
+    ({"grid": {"ny": 8.5}}, "'ny' must be an integer, got 8.5"),
+    ({"grid": {"h": "0.1"}}, "'h' must be a finite number, got '0.1'"),
+    ({"grid": 32}, "'grid' must be an object, got 32"),
+    ({"spread": 3}, "'spread' must be an object, got 3"),
+    ({"concentration": "atomic"}, "'concentration' must be an object, got 'atomic'"),
+    ([2], "the config must be a JSON object"),
+], ids=["p", "p-null", "tol", "lambda", "n_atom_side", "k_max", "exponent", "grid-nx",
+        "grid-ny", "grid-h", "grid", "spread", "concentration", "top-level"])
+def test_city_config_field_rejected(tmp_path, capsys, cfg, message):
+    write(tmp_path / "city.json", json.dumps(cfg))
+    rc = main(["city", "--config", str(tmp_path / "city.json"), "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {tmp_path / 'city.json'}: {message}\n"
+
+
+def test_city_config_not_json(tmp_path, capsys):
+    write(tmp_path / "city.json", "{p: 2}")
+    rc = main(["city", "--config", str(tmp_path / "city.json"), "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'city.json'}: not valid JSON")

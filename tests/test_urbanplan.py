@@ -1,12 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from congested_transport.errors import DomainTooSmallError, InputFormatError
+from congested_transport.errors import (
+    BisectionFailureError,
+    DomainTooSmallError,
+    InputFormatError,
+)
 from congested_transport.grids import Grid, ScalarField
 from congested_transport.kantorovich import DiscreteMeasure
 from congested_transport.urbanplan import (
     ConcentrationSpec,
+    GridAtomTransport,
     SpreadSpec,
+    _mass_for_level,
+    _pole_best_position,
     _solve_level,
     _weighted_variance,
     barycenter_of,
@@ -259,8 +268,6 @@ def test_eval_total_between_fields_and_interaction_density():
 def test_level_bracket_guard():
     from types import SimpleNamespace
 
-    from congested_transport.errors import BisectionFailureError
-
     flat = SimpleNamespace(inverse_derivative=lambda s: np.zeros_like(np.asarray(s, dtype=float)))
     with pytest.raises(BisectionFailureError):
         _solve_level(np.zeros(4), flat, 1.0, 1.0)
@@ -280,3 +287,223 @@ def test_gateaux_consistency_on_grid_measures():
     nu = DiscreteMeasure(weights=nw / nw.sum(), points=rng.uniform(0.1, 0.9, (5, 2)))
     rep = gateaux_check(mu, nu, mu1, 2.0, [1e-4])
     assert rep.err[1e-4] <= 1e-3 * (1 + abs(rep.inner))
+
+
+# ------------------------------------------- same bits as the reference forms
+# Each reference below is the plain form of a kernel that urbanplan evaluates
+# more cheaply; the kernel must return exactly the same floats.
+
+
+def _bisection_level(psi, spread, cell_area, target, hi_cap=1e6):
+    """100-step bisection; returns (level, whether it ended on adjacent floats)."""
+    lo = float(psi.min())
+    width = 1.0
+    hi = lo + width
+    while _mass_for_level(hi, psi, spread, cell_area) < target:
+        width *= 2.0
+        hi = lo + width
+        if width > hi_cap:
+            raise BisectionFailureError("level bracket exceeded its growth cap")
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if _mass_for_level(mid, psi, spread, cell_area) < target:
+            lo = mid
+        else:
+            hi = mid
+    mid = 0.5 * (lo + hi)
+    return mid, mid in (lo, hi)
+
+
+_SPREADS = {
+    "quadratic": SpreadSpec.quadratic(),
+    "power 1.5": SpreadSpec.power(1.5),
+    "power 3": SpreadSpec.power(3.0),
+    "power 5": SpreadSpec.power(5.0),
+    "doubled": SpreadSpec(f=lambda t: 2.0 * np.square(t),
+                          inverse_derivative=lambda s: 0.25 * np.asarray(s, dtype=float)),
+}
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(psi=st.lists(st.one_of(st.floats(-3.0, 3.0), st.integers(-3, 3).map(float)),
+                    min_size=1, max_size=40),
+       spread=st.sampled_from(sorted(_SPREADS)),
+       cell_area=st.sampled_from([1.0, 1.0 / 9, 1.0 / 1024, 0.0625]),
+       target=st.one_of(st.just(1.0), st.floats(1e-3, 50.0)))
+def test_level_matches_bisection(psi, spread, cell_area, target):
+    psi = np.array(psi)
+    spec = _SPREADS[spread]
+    try:
+        expected, adjacent = _bisection_level(psi, spec, cell_area, target)
+    except BisectionFailureError:
+        with pytest.raises(BisectionFailureError):
+            _solve_level(psi, spec, cell_area, target)
+        return
+    level = _solve_level(psi, spec, cell_area, target)
+    # 100 halvings reach adjacent floats unless the level is within about
+    # 2^-48 of zero; the bracket's floats are what both searches agree on
+    assert adjacent or abs(expected) < 1e-12
+    if adjacent:
+        assert level == expected
+    assert _mass_for_level(np.nextafter(level, np.inf), psi, spec, cell_area) >= target
+    assert _mass_for_level(np.nextafter(level, -np.inf), psi, spec, cell_area) < target
+
+
+def _dense_argmin(cost, b):
+    red = cost - b[None, :]
+    assign = np.argmin(red, axis=1)
+    return red[np.arange(red.shape[0]), assign], assign
+
+
+@st.composite
+def _ascent_steps(draw):
+    """A transport with float costs, or integer costs that tie exactly, and a
+    sequence of (potentials, accepted) steps. Some steps put one row's two
+    smallest reduced costs on an exact float tie."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 30))
+    if draw(st.booleans()):
+        # 1-d integer points: costs |x - y| or |x - y|^2 are integers
+        cells = np.array(draw(st.lists(st.integers(-6, 6), min_size=m, max_size=m)),
+                         dtype=float)[:, None]
+        atoms = np.array(draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n)),
+                         dtype=float)[:, None]
+        p = draw(st.sampled_from([1.0, 2.0]))
+        value = st.integers(-8, 8).map(float)
+    else:
+        coord = st.floats(0.0, 1.0)
+        cells = np.array(draw(st.lists(coord, min_size=2 * m, max_size=2 * m))).reshape(m, 2)
+        atoms = np.array(draw(st.lists(coord, min_size=2 * n, max_size=2 * n))).reshape(n, 2)
+        p = draw(st.sampled_from([1.0, 1.5, 2.0]))
+        value = st.floats(-2.0, 2.0)
+    transport = GridAtomTransport(cells, atoms, p)
+    steps = []
+    b = np.zeros(n)
+    for _ in range(draw(st.integers(1, 12))):
+        cand = b + np.array(draw(st.lists(value, min_size=n, max_size=n))) * draw(
+            st.sampled_from([1.0, 1e-3, 1e-9]))
+        if n > 1 and draw(st.booleans()):
+            i = draw(st.integers(0, m - 1))
+            j, k = draw(st.permutations(range(n)))[:2]
+            cand[j] = transport.cost[i, j] - (transport.cost[i, k] - cand[k])
+        accepted = draw(st.booleans())
+        steps.append((cand, accepted))
+        if accepted:
+            b = cand
+    return transport, steps
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(problem=_ascent_steps())
+def test_pruned_argmin_matches_dense(problem):
+    transport, steps = problem
+    for b, accepted in steps:
+        psi, assign, bound = transport._reduced_argmin(b)
+        psi_d, assign_d = _dense_argmin(transport.cost, b)
+        assert np.array_equal(assign, assign_d)
+        assert psi.tobytes() == psi_d.tobytes()
+        if accepted:
+            transport._bound = bound
+
+
+def _dense_dual_ascent(t, cell_masses, atom_weights, max_iter=400):
+    """The ascent with a dense argmin at every evaluation, on a transport's
+    cost, beta and warm step."""
+    beta = t.beta.copy()
+    total = float(cell_masses.sum())
+    scale = float(t.cost.max() - t.cost.min()) + 1e-12
+
+    def evaluate(b):
+        psi, assign = _dense_argmin(t.cost, b)
+        load = np.bincount(assign, weights=cell_masses, minlength=b.shape[0])
+        dual = float(np.dot(cell_masses, psi) + np.dot(atom_weights, b))
+        return psi, assign, load, dual
+
+    psi, assign, load, dual = evaluate(beta)
+    step = t._step if t._step is not None else 0.5 * scale
+    for _ in range(max_iter):
+        grad = atom_weights - load
+        if float(np.abs(grad).sum()) <= 1e-9 * max(total, 1e-12):
+            break
+        improved = False
+        for _ in range(14):
+            cand = beta + step * grad / max(total, 1e-12)
+            psi_c, assign_c, load_c, dual_c = evaluate(cand)
+            if dual_c > dual + 1e-15 * (1.0 + abs(dual)):
+                beta, psi, assign, load, dual = cand, psi_c, assign_c, load_c, dual_c
+                step *= 1.4
+                improved = True
+                break
+            step *= 0.5
+            if step < 1e-14 * scale:
+                break
+        if not improved:
+            break
+    t._step = step
+    t.beta = beta
+    return psi, beta.copy(), assign, dual
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(side=st.integers(3, 10), n=st.integers(2, 6), p=st.sampled_from([1.0, 1.5, 2.0]),
+       seed=st.integers(0, 2**32 - 1), calls=st.integers(1, 3))
+def test_dual_ascent_matches_dense(side, n, p, seed, calls):
+    rng = np.random.default_rng(seed)
+    g = Grid(nx=side, ny=side, h=1.0 / side)
+    atoms = rng.random((n, 2))
+    fast = GridAtomTransport(g.cell_points(), atoms, p)
+    dense = GridAtomTransport(g.cell_points(), atoms, p)
+    weights = rng.random(n) + 0.1
+    weights /= weights.sum()
+    for _ in range(calls):  # warm calls on changing masses, as in solve_p_nu
+        masses = rng.random(g.n_cells) * (rng.random(g.n_cells) > 0.3)
+        masses *= weights.sum() / masses.sum()
+        got = fast._dual_ascent(masses, weights, max_iter=60)
+        want = _dense_dual_ascent(dense, masses, weights, max_iter=60)
+        for a, b in zip(got, want):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        assert fast._step == dense._step
+
+
+def _per_point_pole_position(points, masses, start, p):
+    y = np.array(start, dtype=float)
+    span = points.max(axis=0) - points.min(axis=0) + 1e-9
+
+    def cost_at(yy):
+        d = np.sqrt(np.sum((points - yy[None, :]) ** 2, axis=1))
+        return float(np.dot(masses, np.power(d, p)))
+
+    gr = (np.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(3):
+        for axis in (0, 1):
+            lo = y[axis] - span[axis]
+            hi = y[axis] + span[axis]
+            c = hi - gr * (hi - lo)
+            d = lo + gr * (hi - lo)
+            for _ in range(40):
+                yc = y.copy()
+                yc[axis] = c
+                yd = y.copy()
+                yd[axis] = d
+                if cost_at(yc) < cost_at(yd):
+                    hi = d
+                else:
+                    lo = c
+                c = hi - gr * (hi - lo)
+                d = lo + gr * (hi - lo)
+            y[axis] = 0.5 * (lo + hi)
+    return y
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(n=st.integers(1, 25), p=st.sampled_from([1.0, 1.5]),
+       seed=st.integers(0, 2**32 - 1), grid_points=st.booleans())
+def test_pole_position_matches_per_point_search(n, p, seed, grid_points):
+    rng = np.random.default_rng(seed)
+    points = (rng.integers(0, 8, size=(n, 2)) / 8.0 if grid_points
+              else rng.random((n, 2)))
+    masses = rng.random(n) + 0.01
+    start = rng.random(2)
+    got = _pole_best_position(points, masses, start, p)
+    want = _per_point_pole_position(points, masses, start, p)
+    assert got.tobytes() == want.tobytes()
