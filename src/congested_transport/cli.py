@@ -208,15 +208,27 @@ def _config_section(cfg: dict, key: str, default: dict, where) -> dict:
     return section
 
 
-def _config_number(cfg: dict, key: str, default, where, integer: bool = False):
+def _config_number(cfg: dict, key: str, default, where, integer: bool = False,
+                   least: float = -np.inf):
     """cfg[key] (or default) as a float, or an int if integer; InputFormatError
-    unless it is a finite JSON number (integral if integer)."""
+    unless it is a finite JSON number (integral if integer) of at least least."""
     value = cfg.get(key, default)
     if (isinstance(value, bool) or not isinstance(value, (int, float))
             or not np.isfinite(value) or (integer and value != int(value))):
         kind = "an integer" if integer else "a finite number"
         raise InputFormatError(f"{where}: {key!r} must be {kind}, got {value!r}")
+    if value < least:
+        raise InputFormatError(f"{where}: {key!r} must be at least {least}, got {value!r}")
     return int(value) if integer else float(value)
+
+
+def _config_choice(cfg: dict, key: str, choices, where) -> str:
+    """cfg[key]; InputFormatError unless it is one of choices."""
+    value = cfg.get(key)
+    if value not in choices:
+        raise InputFormatError(f"{where}: {key!r} must be one of "
+                               f"{', '.join(map(repr, choices))}, got {value!r}")
+    return value
 
 
 def _cmd_city(args) -> int:
@@ -233,10 +245,13 @@ def _cmd_city(args) -> int:
     grid = grids.Grid(nx=_config_number(gspec, "nx", 64, where, integer=True),
                       ny=_config_number(gspec, "ny", 64, where, integer=True),
                       h=_config_number(gspec, "h", 1.0 / 64, where))
-    p = _config_number(cfg, "p", 2, where)
+    p = _config_number(cfg, "p", 2, where, least=1)
     tol = _config_number(cfg, "tol", 1e-6, where)
+    if tol <= 0:
+        raise InputFormatError(f"{where}: 'tol' must be positive, got {tol!r}")
     spread_cfg = _config_section(cfg, "spread", {"family": "quadratic"}, where)
-    if spread_cfg.get("family") == "quadratic":
+    family = _config_choice(spread_cfg, "family", ("quadratic", "power"), where)
+    if family == "quadratic":
         spread = urbanplan.SpreadSpec.quadratic()
     else:
         m = spread_cfg.get("m")
@@ -245,17 +260,22 @@ def _cmd_city(args) -> int:
                                    f"got {m!r}")
         spread = urbanplan.SpreadSpec.power(float(m))
     conc_cfg = _config_section(cfg, "concentration", {"kind": "interaction"}, where)
+    kind = _config_choice(conc_cfg, "kind", ("atomic", "interaction"), where)
+    if kind == "interaction" and (p != 2 or family != "quadratic"):
+        raise InputFormatError(f"{where}: the 'interaction' city is the quadratic city, "
+                               f"with p = 2 and the quadratic spread; got p = {p!r} "
+                               f"and a {family} spread")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    if conc_cfg.get("kind") == "atomic":
+    if kind == "atomic":
         g_tag = conc_cfg.get("g", "power")
         if g_tag != "power":
             raise InputFormatError(f"unknown atomic pole cost {g_tag!r} (supported: 'power')")
         conc = urbanplan.ConcentrationSpec.atomic_power(
             _config_number(conc_cfg, "exponent", 0.5, where))
         res = urbanplan.minimize_with_atomic_G(
-            p, spread, conc, k_max=_config_number(cfg, "k_max", 3, where, integer=True),
+            p, spread, conc, k_max=_config_number(cfg, "k_max", 3, where, integer=True, least=1),
             grid=grid, tol=tol)
         results = {
             "value": res.value,
@@ -278,7 +298,7 @@ def _cmd_city(args) -> int:
         lam = _config_number(cfg, "lambda", 1.0, where)
         res = urbanplan.solve_quadratic_city(
             lam, grid, tol=tol,
-            n_atom_side=_config_number(cfg, "n_atom_side", 12, where, integer=True))
+            n_atom_side=_config_number(cfg, "n_atom_side", 12, where, integer=True, least=1))
         results = {
             "value": res.value,
             "iterations": res.iterations,

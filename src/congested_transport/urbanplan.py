@@ -3,6 +3,10 @@ the fixed-target subproblem through the potential characterization
 u = (f')^{-1}((C - psi)_+), the full quadratic case against its closed-form
 ball solution, and the atomic-concentration variant.
 
+The functionals are number families: the spread f(t) = t^m / d, the pole
+cost g(a) = a^alpha with its analytic derivative, and the interaction
+h(r) = lam r^2, each checked by the range of its parameters.
+
 mu lives on the grid as a density; nu is a cloud of weighted atoms. The
 transport potentials between the grid and the atoms are Kantorovich duals:
 computed by the exact transport solver at small sizes and by warm-started
@@ -19,8 +23,7 @@ evaluates each golden-section probe once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +36,19 @@ from .errors import (
 from .grids import Grid, ScalarField
 from .kantorovich import DiscreteMeasure, solve_discrete_ot
 
-EXACT_OT_MAX_SIDE = 600
+# eval_total block-aggregates a grid density until it has at most this many
+# mass points (in total, not per side) before its exact transport solve.
+EXACT_OT_MAX_POINTS = 600
+# GridAtomTransport solves exactly when the occupied cells plus the atoms are
+# at most this many points: the exact path costs roughly one short Dijkstra
+# sweep per point. Larger instances go through the dual ascent.
+GRID_ATOM_EXACT_MAX_POINTS = 300
+LEVEL_WIDTH_CAP = 1e6  # the level bracket may grow to this width above min psi
+P_NU_MAX_ITER = 400  # damped fixed-point passes of solve_p_nu
+P_NU_DAMPING = 0.3  # weight of the new iterate in each of those passes
+INNER_TOL = 1e-6  # solve_p_nu tolerance inside the outer city solvers
+QUADRATIC_CITY_MAX_ITER = 80  # alternations of solve_quadratic_city
+ATOMIC_MAX_OUTER = 40  # outer steps per pole count in minimize_with_atomic_G
 _EPS = float(np.finfo(float).eps)
 
 
@@ -42,106 +57,74 @@ _EPS = float(np.finfo(float).eps)
 
 @dataclass(frozen=True)
 class SpreadSpec:
-    """Convex integrand f with f(0) = 0 penalizing concentration of mu."""
+    """Convex integrand f(t) = t^m / d (m > 1, d > 0) penalizing concentration
+    of mu, with (f')^{-1}(s) = (s d / m)^(1 / (m - 1)) on s >= 0.
 
-    f: Callable[[np.ndarray], np.ndarray]
-    inverse_derivative: Callable[[np.ndarray], np.ndarray]
-    family: str = "custom"
-    params: dict = field(default_factory=dict)
+    quadratic() is (m, d) = (2, 1) and power(m) is (m, m). The ratio d / m is
+    formed before the power, so each of these returns the floats of the
+    plain forms t^2, t^m / m, s / 2 and s^(1 / (m - 1)).
+    """
+
+    m: float
+    d: float
 
     def __post_init__(self):
-        rng = np.random.default_rng(1234)
-        for _ in range(20):
-            a, b = rng.uniform(0.0, 5.0, size=2)
-            mid = self.f(np.array(0.5 * (a + b)))
-            if float(mid) > 0.5 * (float(self.f(np.array(a))) + float(self.f(np.array(b)))) + 1e-10:
-                raise InputFormatError("spread integrand fails the midpoint convexity check")
-        if abs(float(self.f(np.array(0.0)))) > 1e-12:
-            raise InputFormatError("spread integrand must vanish at zero")
-        for s in (0.1, 1.0, 10.0):
-            t = float(self.inverse_derivative(np.array(s)))
-            h = 1e-6 * max(t, 1.0)
-            fp = (float(self.f(np.array(t + h))) - float(self.f(np.array(t - h)))) / (2 * h)
-            if abs(fp - s) > 1e-4 * max(1.0, s):
-                raise InputFormatError(
-                    f"inverse_derivative inconsistent with f at s={s}: f'({t})={fp}"
-                )
+        if not 1.0 < self.m < math.inf:
+            raise InputFormatError(f"spread exponent must be finite and above 1, got {self.m}")
+        if not 0.0 < self.d < math.inf:
+            raise InputFormatError(f"spread divisor must be finite and positive, got {self.d}")
 
     @staticmethod
     def quadratic() -> "SpreadSpec":
-        return SpreadSpec(
-            f=lambda t: np.square(t),
-            inverse_derivative=lambda s: 0.5 * np.asarray(s, dtype=float),
-            family="quadratic",
-        )
+        return SpreadSpec(2.0, 1.0)
 
     @staticmethod
     def power(m: float) -> "SpreadSpec":
-        if m <= 1:
-            raise InputFormatError(f"power spread requires m > 1, got {m}")
-        return SpreadSpec(
-            f=lambda t: np.power(np.asarray(t, dtype=float), m) / m,
-            inverse_derivative=lambda s: np.power(np.maximum(np.asarray(s, dtype=float), 0.0),
-                                                  1.0 / (m - 1.0)),
-            family="power",
-            params={"m": float(m)},
-        )
+        return SpreadSpec(float(m), float(m))
+
+    def f(self, t):
+        return np.power(t, self.m) / self.d
+
+    def inverse_derivative(self, s):
+        return np.power(s * (self.d / self.m), 1.0 / (self.m - 1.0))
 
 
 @dataclass(frozen=True)
 class ConcentrationSpec:
-    """Either a subadditive per-pole cost g (atomic) or a pairwise interaction
-    cost h of the distance (with its derivative, used for position moves)."""
+    """Either the subadditive per-pole cost g(a) = a^alpha with 0 < alpha <= 1
+    (kind "atomic") or the pairwise interaction cost h(r) = lam r^2 of the
+    distance with lam >= 0 (kind "interaction")."""
 
     kind: str
-    g: Callable[[np.ndarray], np.ndarray] | None = None
-    h: Callable[[np.ndarray], np.ndarray] | None = None
-    h_prime: Callable[[np.ndarray], np.ndarray] | None = None
-    params: dict = field(default_factory=dict)
+    alpha: float = 1.0
+    lam: float = 0.0
 
     def __post_init__(self):
-        rng = np.random.default_rng(4321)
         if self.kind == "atomic":
-            if self.g is None:
-                raise InputFormatError("atomic concentration requires g")
-            if abs(float(self.g(np.array(0.0)))) > 1e-12:
-                raise InputFormatError("pole cost must vanish at zero")
-            for _ in range(20):
-                a, b = rng.uniform(0.0, 2.0, size=2)
-                lhs = float(self.g(np.array(a + b)))
-                rhs = float(self.g(np.array(a))) + float(self.g(np.array(b)))
-                if lhs > rhs + 1e-10:
-                    raise InputFormatError("pole cost fails the subadditivity check")
+            if not 0.0 < self.alpha <= 1.0:
+                raise InputFormatError("atomic power exponent must lie in (0, 1]")
         elif self.kind == "interaction":
-            if self.h is None:
-                raise InputFormatError("interaction concentration requires h")
-            pts = np.sort(rng.uniform(0.0, 3.0, size=20))
-            vals = np.asarray(self.h(pts), dtype=float)
-            if np.any(np.diff(vals) < -1e-10):
-                raise InputFormatError("interaction cost must be nondecreasing")
+            if not 0.0 <= self.lam < math.inf:
+                raise InputFormatError("interaction strength must be finite and nonnegative")
         else:
             raise InputFormatError(f"unknown concentration kind {self.kind!r}")
 
     @staticmethod
     def atomic_power(alpha: float = 0.5) -> "ConcentrationSpec":
-        if not (0 < alpha <= 1):
-            raise InputFormatError("atomic power exponent must lie in (0, 1]")
-        return ConcentrationSpec(
-            kind="atomic",
-            g=lambda a: np.power(np.maximum(np.asarray(a, dtype=float), 0.0), alpha),
-            params={"alpha": float(alpha)},
-        )
+        return ConcentrationSpec("atomic", alpha=float(alpha))
 
     @staticmethod
     def quadratic_interaction(lam: float) -> "ConcentrationSpec":
-        if lam < 0:
-            raise InputFormatError("interaction strength must be nonnegative")
-        return ConcentrationSpec(
-            kind="interaction",
-            h=lambda r: lam * np.square(r),
-            h_prime=lambda r: 2.0 * lam * np.asarray(r, dtype=float),
-            params={"lambda": float(lam)},
-        )
+        return ConcentrationSpec("interaction", lam=float(lam))
+
+    def g(self, a):
+        return np.power(np.maximum(a, 0.0), self.alpha)
+
+    def g_prime(self, a):
+        return self.alpha * np.power(a, self.alpha - 1.0)
+
+    def h(self, r):
+        return self.lam * np.square(r)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +167,7 @@ class GridAtomTransport:
                        np.zeros(m))
 
     def solve(self, cell_masses: np.ndarray, atom_weights: np.ndarray,
-              exact: bool | None = None, max_ascent: int = 400):
+              max_ascent: int = 400):
         """Returns (psi on all cells, beta on atoms, assignment, transport value).
 
         psi is the c-transform min_j cost - beta_j evaluated at every cell, so
@@ -202,14 +185,8 @@ class GridAtomTransport:
             assign = np.zeros(m, dtype=np.int64)
             value = float(np.dot(cell_masses, psi))
             return psi, self.beta.copy(), assign, value
-        use_exact = exact
-        if use_exact is None:
-            # the exact path costs roughly (m + n) short Dijkstra sweeps, so
-            # keep it for genuinely small instances only
-            pos = cell_masses > 0
-            use_exact = int(pos.sum()) + n <= 300
-        if use_exact:
-            pos = cell_masses > 0
+        pos = cell_masses > 0
+        if int(pos.sum()) + n <= GRID_ATOM_EXACT_MAX_POINTS:
             mu = DiscreteMeasure(weights=cell_masses[pos], points=self.cell_points[pos])
             nu = DiscreteMeasure(weights=atom_weights, points=self.atom_points)
             res = solve_discrete_ot(mu, nu, self.cost[pos])
@@ -252,7 +229,7 @@ class GridAtomTransport:
             cost_a[stale] = self.cost[stale, a]
         return cost_a - b[assign], assign, (b, assign, gap, cost_a)
 
-    def _dual_ascent(self, cell_masses, atom_weights, max_iter: int = 400):
+    def _dual_ascent(self, cell_masses, atom_weights, max_iter: int):
         beta = self.beta.copy()
         total = float(cell_masses.sum())
         scale = self._scale
@@ -302,50 +279,32 @@ class CityValue:
     infeasible: bool = False
 
 
-def _atoms_of(nu) -> DiscreteMeasure | None:
-    if isinstance(nu, DiscreteMeasure):
-        return nu
-    return None
-
-
 def eval_total(mu: ScalarField, nu, p: float, spread: SpreadSpec,
-               conc: ConcentrationSpec | None, grid: Grid,
-               max_side: int = EXACT_OT_MAX_SIDE) -> CityValue:
+               conc: ConcentrationSpec | None, grid: Grid) -> CityValue:
     """Value of the full functional W_p^p + integral f(u) + G(nu).
 
     nu may be an atom cloud or a second grid density (grid densities are
-    block-aggregated to at most max_side support points per side before the
+    block-aggregated to at most EXACT_OT_MAX_POINTS mass points before the
     exact transport solve). An atomic G with a non-atomic nu is infeasible.
     """
-    if abs(mu.total_mass - _total_mass(nu, grid)) > 1e-8 * max(1.0, mu.total_mass):
+    if abs(mu.total_mass - nu.total_mass) > 1e-8 * max(1.0, mu.total_mass):
         raise MassMismatchError("mu and nu must carry equal mass")
     spread_val = float(grid.cell_area * np.sum(spread.f(mu.values)))
 
-    atoms = _atoms_of(nu)
+    atomic = isinstance(nu, DiscreteMeasure)
     if conc is None:
         conc_val = 0.0
     elif conc.kind == "atomic":
-        if atoms is None:
+        if not atomic:
             return CityValue(np.inf, np.nan, spread_val, np.inf, infeasible=True)
-        conc_val = float(np.sum(conc.g(atoms.weights)))
+        conc_val = float(np.sum(conc.g(nu.weights)))
     else:
-        if atoms is not None:
-            d = _pairwise_dist(atoms.points, atoms.points)
-            conc_val = float(atoms.weights @ np.asarray(conc.h(d)) @ atoms.weights)
-        else:
-            pts, w = _field_atoms(nu, grid, max_side)
-            d = _pairwise_dist(pts, pts)
-            conc_val = float(w @ np.asarray(conc.h(d)) @ w)
+        pts, w = (nu.points, nu.weights) if atomic else _field_atoms(nu, grid)
+        d = _pairwise_dist(pts, pts)
+        conc_val = float(w @ conc.h(d) @ w)
 
-    transport = _transport_value(mu, nu, p, grid, max_side)
+    transport = _transport_value(mu, nu, p, grid)
     return CityValue(transport + spread_val + conc_val, transport, spread_val, conc_val)
-
-
-def _total_mass(nu, grid) -> float:
-    atoms = _atoms_of(nu)
-    if atoms is not None:
-        return atoms.total_mass
-    return nu.total_mass
 
 
 def _pairwise_dist(a, b):
@@ -353,11 +312,11 @@ def _pairwise_dist(a, b):
     return np.sqrt(np.sum(diff * diff, axis=2))
 
 
-def _field_atoms(fld: ScalarField, grid: Grid, max_side: int):
-    """Aggregate a grid density to at most max_side mass points (block sums at
-    block barycenters)."""
+def _field_atoms(fld: ScalarField, grid: Grid):
+    """Aggregate a grid density to at most EXACT_OT_MAX_POINTS mass points in
+    total (block sums at block barycenters)."""
     factor = 1
-    while (grid.nx // factor) * (grid.ny // factor) > max_side:
+    while (grid.nx // factor) * (grid.ny // factor) > EXACT_OT_MAX_POINTS:
         factor *= 2
         if grid.nx % factor or grid.ny % factor:
             raise InputFormatError("grid not block-aggregatable; choose power-of-two sizes")
@@ -375,15 +334,15 @@ def _field_atoms(fld: ScalarField, grid: Grid, max_side: int):
     return np.column_stack([bx[keep], by[keep]]), m[keep]
 
 
-def _transport_value(mu: ScalarField, nu, p: float, grid: Grid, max_side: int) -> float:
-    atoms = _atoms_of(nu)
-    if atoms is None and np.array_equal(mu.values, nu.values):
+def _transport_value(mu: ScalarField, nu, p: float, grid: Grid) -> float:
+    atomic = isinstance(nu, DiscreteMeasure)
+    if not atomic and np.array_equal(mu.values, nu.values):
         return 0.0
-    pts_a, w_a = _field_atoms(mu, grid, max_side)
-    if atoms is not None:
-        pts_b, w_b = np.atleast_2d(atoms.points), atoms.weights
+    pts_a, w_a = _field_atoms(mu, grid)
+    if atomic:
+        pts_b, w_b = nu.points, nu.weights
     else:
-        pts_b, w_b = _field_atoms(nu, grid, max_side)
+        pts_b, w_b = _field_atoms(nu, grid)
     keep_b = w_b > 0
     pts_b, w_b = pts_b[keep_b], w_b[keep_b]
     w_b = w_b * (w_a.sum() / w_b.sum())
@@ -415,7 +374,7 @@ def _mass_for_level(level, psi, spread, cell_area):
     return cell_area * float(u.sum())
 
 
-def _solve_level(psi, spread, cell_area, target, hi_cap: float = 1e6):
+def _solve_level(psi, spread, cell_area, target):
     """The constant C with h^2 sum (f')^{-1}((C - psi)_+) = target.
 
     The float mass is nondecreasing in C, so the answer depends on the floats
@@ -435,7 +394,7 @@ def _solve_level(psi, spread, cell_area, target, hi_cap: float = 1e6):
         lo, f_lo = hi, f_hi  # C* lies above every level that falls short
         width *= 2.0
         hi = base + width
-        if width > hi_cap:
+        if width > LEVEL_WIDTH_CAP:
             raise BisectionFailureError("level bracket exceeded its growth cap")
         f_hi = _mass_for_level(hi, psi, spread, cell_area) - target
     if f_lo is None:
@@ -474,8 +433,7 @@ def _solve_level(psi, spread, cell_area, target, hi_cap: float = 1e6):
 
 
 def solve_p_nu(nu: DiscreteMeasure, p: float, spread: SpreadSpec, grid: Grid,
-               tol: float = 1e-6, max_iter: int = 400, theta: float = 0.3,
-               mu0: ScalarField | None = None,
+               tol: float = 1e-6, mu0: ScalarField | None = None,
                transport: GridAtomTransport | None = None) -> CitySolution:
     """Minimize W_p^p(mu, nu) + integral f(u) over densities mu = u of unit
     mass, by the damped fixed point of the optimality characterization
@@ -497,7 +455,7 @@ def solve_p_nu(nu: DiscreteMeasure, p: float, spread: SpreadSpec, grid: Grid,
     assign = None
     t_value = 0.0
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, P_NU_MAX_ITER + 1):
         masses = u * grid.cell_area
         # after the first pass the atom potentials only need a warm refresh
         budget = 400 if it == 1 else 40
@@ -505,8 +463,8 @@ def solve_p_nu(nu: DiscreteMeasure, p: float, spread: SpreadSpec, grid: Grid,
         level = _solve_level(psi, spread, grid.cell_area, 1.0)
         u_new = spread.inverse_derivative(np.maximum(level - psi, 0.0))
         change = float(grid.cell_area * np.abs(u_new - u).sum())
-        u = (1.0 - theta) * u + theta * u_new
-        if change * theta <= tol:
+        u = (1.0 - P_NU_DAMPING) * u + P_NU_DAMPING * u_new
+        if change * P_NU_DAMPING <= tol:
             converged = True
             break
     masses = u * grid.cell_area
@@ -539,18 +497,17 @@ def quadratic_city_radius(lam: float) -> float:
     parabolic profile lam/(2 lam + 1) (r^2 - rho^2) integrates to one when
     r = (2 (2 lam + 1) / (pi lam))^(1/4)."""
     if lam <= 0:
-        raise InputFormatError("lambda must be positive")
+        raise InputFormatError(f"interaction strength must be positive, got {lam}")
     return float((2.0 * (2.0 * lam + 1.0) / (np.pi * lam)) ** 0.25)
 
 
-def quadratic_city_profile(grid: Grid, lam: float, center=None) -> ScalarField:
-    """Closed-form resident density sampled at cell centers."""
+def quadratic_city_profile(grid: Grid, lam: float) -> ScalarField:
+    """Closed-form resident density, centered in the domain, sampled at cell
+    centers."""
     r = quadratic_city_radius(lam)
     lx, ly = grid.extent
-    if center is None:
-        center = (0.5 * lx, 0.5 * ly)
     xc, yc = grid.cell_centers()
-    rho2 = (xc - center[0]) ** 2 + (yc - center[1]) ** 2
+    rho2 = (xc - 0.5 * lx) ** 2 + (yc - 0.5 * ly) ** 2
     u = lam / (2.0 * lam + 1.0) * np.maximum(r * r - rho2, 0.0)
     return ScalarField(u, grid)
 
@@ -582,8 +539,7 @@ def _uniform_atoms(grid: Grid, n_side: int):
 
 
 def solve_quadratic_city(lam: float, grid: Grid, tol: float = 1e-5,
-                         max_iter: int = 80, n_atom_side: int = 12,
-                         inner_tol: float = 1e-6) -> QuadraticCityResult:
+                         n_atom_side: int = 12) -> QuadraticCityResult:
     """Minimize W_2^2(mu, nu) + ||u||_2^2 + lam * interaction(nu) by
     alternating the fixed-target subproblem for mu with a damped best-response
     move of the service atoms.
@@ -612,12 +568,12 @@ def solve_quadratic_city(lam: float, grid: Grid, tol: float = 1e-5,
 
     beta_prev = None
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, QUADRATIC_CITY_MAX_ITER + 1):
         nu = DiscreteMeasure(weights=atom_w, points=atom_pts)
         transport = GridAtomTransport(cell_pts, atom_pts, 2.0)
         if beta_prev is not None and beta_prev.shape == transport.beta.shape:
             transport.beta = beta_prev.copy()
-        sol = solve_p_nu(nu, 2.0, spread, grid, tol=inner_tol, mu0=mu,
+        sol = solve_p_nu(nu, 2.0, spread, grid, tol=INNER_TOL, mu0=mu,
                          transport=transport)
         beta_prev = transport.beta.copy()
         mu = sol.mu
@@ -687,12 +643,12 @@ def barycenter_of(field: ScalarField) -> np.ndarray:
     return np.array([float((masses * xc).sum() / total), float((masses * yc).sum() / total)])
 
 
-def second_moment_of(field: ScalarField, center=None) -> float:
+def second_moment_of(field: ScalarField) -> float:
+    """Second moment of a density about its barycenter."""
     xc, yc = field.grid.cell_centers()
     masses = field.values * field.grid.cell_area
     total = masses.sum()
-    if center is None:
-        center = barycenter_of(field)
+    center = barycenter_of(field)
     rho2 = (xc - center[0]) ** 2 + (yc - center[1]) ** 2
     return float((masses * rho2).sum() / total)
 
@@ -752,7 +708,6 @@ def _catchments_connected(assign: np.ndarray, grid: Grid, masses: np.ndarray) ->
 
 def minimize_with_atomic_G(p: float, spread: SpreadSpec, conc: ConcentrationSpec,
                            k_max: int, grid: Grid, tol: float = 1e-5,
-                           max_outer: int = 40, inner_tol: float = 1e-6,
                            poles0: np.ndarray | None = None) -> AtomicCityResult:
     """Minimize W_p^p(mu, nu) + integral f(u) + sum_k g(a_k) over densities mu
     and atom clouds nu with at most k_max poles: exhaustive sweep over the
@@ -771,10 +726,10 @@ def minimize_with_atomic_G(p: float, spread: SpreadSpec, conc: ConcentrationSpec
         w = np.full(k, 1.0 / k)
         mu = None
         best_state = None  # (value, sol, pts, w)
-        for _ in range(max_outer):
+        for _ in range(ATOMIC_MAX_OUTER):
             nu = DiscreteMeasure(weights=w, points=pts)
             transport = GridAtomTransport(cell_pts, pts, p)
-            sol = solve_p_nu(nu, p, spread, grid, tol=inner_tol, mu0=mu, transport=transport)
+            sol = solve_p_nu(nu, p, spread, grid, tol=INNER_TOL, mu0=mu, transport=transport)
             mu = sol.mu
             masses = (mu.values * grid.cell_area).ravel()
             value = sol.value + float(np.sum(conc.g(w)))
@@ -798,9 +753,8 @@ def minimize_with_atomic_G(p: float, spread: SpreadSpec, conc: ConcentrationSpec
             # transport-share gradient
             transport = GridAtomTransport(cell_pts, pts, p)
             _, beta, _, _ = transport.solve(masses, w)
-            gprime = _numeric_derivative(conc.g, w)
             step = 0.1
-            w_new = _simplex_project(w - step * (gprime + beta))
+            w_new = _simplex_project(w - step * (conc.g_prime(w) + beta))
             w = np.maximum(w_new, 1e-9)
             w = w / w.sum()
 
@@ -866,11 +820,6 @@ def _pole_best_position(points: np.ndarray, masses: np.ndarray, start: np.ndarra
                 d = lo + gr * (hi - lo)
             y[axis] = 0.5 * (lo + hi)
     return y
-
-
-def _numeric_derivative(g, w, h: float = 1e-7):
-    w = np.asarray(w, dtype=float)
-    return (np.asarray(g(w + h)) - np.asarray(g(np.maximum(w - h, 0.0)))) / (2 * h)
 
 
 def _simplex_project(v: np.ndarray) -> np.ndarray:

@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import congested_transport
 from congested_transport.cli import main
 
 
@@ -305,8 +312,26 @@ _ATOMIC = {"concentration": {"kind": "atomic", "g": "power"}}
     ({"spread": 3}, "'spread' must be an object, got 3"),
     ({"concentration": "atomic"}, "'concentration' must be an object, got 'atomic'"),
     ([2], "the config must be a JSON object"),
+    ({"spread": {"family": "cubic", "m": 3}},
+     "'family' must be one of 'quadratic', 'power', got 'cubic'"),
+    ({"spread": {"m": 3}}, "'family' must be one of 'quadratic', 'power', got None"),
+    ({"concentration": {"kind": "atomc"}},
+     "'kind' must be one of 'atomic', 'interaction', got 'atomc'"),
+    ({"p": 1}, "the 'interaction' city is the quadratic city, with p = 2 and the quadratic "
+               "spread; got p = 1.0 and a quadratic spread"),
+    ({"spread": {"family": "power", "m": 3}},
+     "the 'interaction' city is the quadratic city, with p = 2 and the quadratic "
+     "spread; got p = 2.0 and a power spread"),
+    ({**_ATOMIC, "p": -1}, "'p' must be at least 1, got -1"),
+    ({"tol": -1}, "'tol' must be positive, got -1.0"),
+    ({"tol": 0}, "'tol' must be positive, got 0.0"),
+    ({"n_atom_side": 0}, "'n_atom_side' must be at least 1, got 0"),
+    ({**_ATOMIC, "k_max": 0}, "'k_max' must be at least 1, got 0"),
 ], ids=["p", "p-null", "tol", "lambda", "n_atom_side", "k_max", "exponent", "grid-nx",
-        "grid-ny", "grid-h", "grid", "spread", "concentration", "top-level"])
+        "grid-ny", "grid-h", "grid", "spread", "concentration", "top-level",
+        "spread-family-unknown", "spread-family-missing", "concentration-kind-unknown",
+        "interaction-p", "interaction-spread", "p-below-one", "tol-negative", "tol-zero",
+        "n_atom_side-zero", "k_max-zero"])
 def test_city_config_field_rejected(tmp_path, capsys, cfg, message):
     write(tmp_path / "city.json", json.dumps(cfg))
     rc = main(["city", "--config", str(tmp_path / "city.json"), "--out", str(tmp_path / "run")])
@@ -319,3 +344,74 @@ def test_city_config_not_json(tmp_path, capsys):
     rc = main(["city", "--config", str(tmp_path / "city.json"), "--out", str(tmp_path / "run")])
     assert rc == 1
     assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'city.json'}: not valid JSON")
+
+
+# Values that the city config rejects (some only for one kind of city), by
+# the path of the field they replace; the empty path replaces the whole
+# config.
+_CITY_BAD = [
+    ((), [2]), (("p",), -1), (("p",), 0.5), (("p",), float("nan")), (("p",), True),
+    (("p",), 1), (("tol",), 0), (("tol",), "1e-6"), (("lambda",), -1), (("lambda",), 0),
+    (("k_max",), 0), (("k_max",), 1.5), (("n_atom_side",), 0), (("spread",), 3),
+    (("spread",), {"m": 3}), (("spread",), {"family": "power", "m": 3}),
+    (("spread", "family"), "cubic"), (("spread", "m"), 1), (("spread", "m"), float("inf")),
+    (("concentration",), "atomic"), (("concentration", "kind"), "atomc"),
+    (("concentration", "g"), "log"), (("concentration", "exponent"), 1.5),
+    (("concentration", "exponent"), 0), (("grid", "nx"), 1), (("grid", "ny"), 2.5),
+    (("grid", "ny"), None), (("grid", "h"), 0), (("grid", "h"), -0.1),
+]
+
+
+@st.composite
+def _city_configs(draw):
+    """A city config on a grid of at most 8 x 8 cells with k_max <= 2, some
+    optional fields left out, and perhaps one field replaced by a value from
+    _CITY_BAD. The solves stay cheap: the quadratic city has one service atom
+    and the pole sweep a fine grid."""
+    one = st.sampled_from
+    if draw(st.booleans()):  # the quadratic city, on a domain that holds it
+        cfg = {"grid": {"nx": draw(st.integers(6, 8)), "ny": draw(st.integers(6, 8)), "h": 0.4},
+               "p": 2, "spread": {"family": "quadratic"},
+               "concentration": {"kind": "interaction"},
+               "lambda": draw(one([1.0, 4.0])), "n_atom_side": 1}
+    else:
+        cfg = {"grid": {"nx": draw(st.integers(2, 8)), "ny": draw(st.integers(1, 8)),
+                        "h": 0.125},
+               "p": draw(one([1, 1.5, 2, 3])),
+               "spread": draw(one([{"family": "quadratic"}, {"family": "power", "m": 1.5},
+                                   {"family": "power", "m": 3}])),
+               "concentration": draw(one([{"kind": "atomic", "g": "power", "exponent": 0.5},
+                                          {"kind": "atomic", "exponent": 1}])),
+               "k_max": draw(one([1, 2]))}
+    cfg["tol"] = draw(one([1e-3, 1e-6]))
+    for key in draw(st.lists(one(["p", "spread", "tol"]), unique=True)):
+        del cfg[key]  # left to its default
+    bad = draw(st.one_of(st.none(), one(_CITY_BAD)))
+    if bad is not None:
+        path, value = bad
+        if not path:
+            return value
+        *outer, key = path
+        (cfg.setdefault(outer[0], {}) if outer else cfg)[key] = value
+    return cfg
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(cfg=_city_configs())
+def test_city_config_fuzz(tmp_path_factory, cfg):
+    root = tmp_path_factory.mktemp("city")
+    write(root / "city.json", json.dumps(cfg))
+    assert main(["city", "--config", str(root / "city.json"), "--out", str(root / "run")]) in (0, 1, 2)
+
+
+def test_cli_import_loads_no_scipy():
+    """Importing the command line loads no scipy module: the solvers that use
+    scipy import it on first call, so commands that do not need it start
+    faster."""
+    src = str(Path(congested_transport.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, congested_transport.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

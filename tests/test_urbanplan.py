@@ -38,22 +38,43 @@ def test_spread_spec_families():
     assert float(q.inverse_derivative(np.array(3.0))) == 1.5
     p = SpreadSpec.power(3.0)
     assert float(p.inverse_derivative(np.array(4.0))) == pytest.approx(2.0)
+    # each family returns the floats of its plain form
+    t = np.random.default_rng(5).uniform(0.0, 5.0, 1000)
+    assert np.array_equal(q.f(t), np.square(t))
+    assert np.array_equal(q.inverse_derivative(t), 0.5 * t)
+    for m in (1.5, 3.0, 5.0):
+        assert np.array_equal(SpreadSpec.power(m).f(t), np.power(t, m) / m)
+        assert np.array_equal(SpreadSpec.power(m).inverse_derivative(t),
+                              np.power(t, 1.0 / (m - 1.0)))
+    doubled = SpreadSpec(2.0, 0.5)
+    assert np.array_equal(doubled.f(t), 2.0 * np.square(t))
+    assert np.array_equal(doubled.inverse_derivative(t), 0.25 * t)
 
 
 def test_spread_spec_rejects_nonconvex():
+    # m <= 1 is not strictly convex; d must be a finite positive divisor
+    for m, d in [(1.0, 1.0), (0.5, 0.5), (np.inf, 1.0), (np.nan, 1.0),
+                 (2.0, 0.0), (2.0, -1.0), (2.0, np.inf)]:
+        with pytest.raises(InputFormatError):
+            SpreadSpec(m, d)
     with pytest.raises(InputFormatError):
-        SpreadSpec(f=lambda t: np.sqrt(np.asarray(t, dtype=float)),
-                   inverse_derivative=lambda s: s)
+        SpreadSpec.power(1.0)
 
 
 def test_concentration_spec_validation():
     ok = ConcentrationSpec.atomic_power(0.5)
     assert float(ok.g(np.array(0.0))) == 0.0
-    # a superadditive pole cost must be rejected
+    assert float(ok.g_prime(np.array(0.25))) == 1.0
+    assert float(ConcentrationSpec.atomic_power(1.0).g_prime(np.array(0.3))) == 1.0
+    # pole costs outside (0, 1] are not subadditive (or do not vanish at zero)
+    for alpha in (0.0, -0.5, 1.5, np.nan):
+        with pytest.raises(InputFormatError):
+            ConcentrationSpec.atomic_power(alpha)
+    for lam in (-1.0, np.inf, np.nan):
+        with pytest.raises(InputFormatError):
+            ConcentrationSpec.quadratic_interaction(lam)
     with pytest.raises(InputFormatError):
-        ConcentrationSpec(kind="atomic", g=lambda a: np.square(np.asarray(a, dtype=float)))
-    with pytest.raises(InputFormatError):
-        ConcentrationSpec(kind="interaction", h=lambda r: -np.asarray(r, dtype=float))
+        ConcentrationSpec("pairwise")
     q = ConcentrationSpec.quadratic_interaction(1.0)
     assert float(q.h(np.array(2.0))) == 4.0
 
@@ -87,7 +108,7 @@ def test_eval_total_interaction_two_atoms():
     # place atoms at distance exactly one inside the domain
     nu = DiscreteMeasure(weights=np.array([0.5, 0.5]),
                          points=np.array([[0.2, 0.3], [0.2 + 0.6, 0.3 + 0.8]]))
-    conc = ConcentrationSpec(kind="interaction", h=lambda r: np.square(np.asarray(r, dtype=float)))
+    conc = ConcentrationSpec.quadratic_interaction(1.0)
     val = eval_total(uni, nu, 2.0, SpreadSpec.quadratic(), conc, g)
     assert val.concentration == pytest.approx(0.5, rel=1e-12)
 
@@ -126,9 +147,7 @@ def test_p_nu_spread_rescaling_shifts_balance():
     g = Grid(nx=32, ny=32, h=1.0 / 32)
     nu = DiscreteMeasure(weights=np.array([1.0]), points=np.array([[0.5, 0.5]]))
     base = solve_p_nu(nu, 2.0, SpreadSpec.quadratic(), g, tol=1e-8)
-    doubled_spec = SpreadSpec(f=lambda t: 2.0 * np.square(t),
-                              inverse_derivative=lambda s: 0.25 * np.asarray(s, dtype=float))
-    doubled = solve_p_nu(nu, 2.0, doubled_spec, g, tol=1e-8)
+    doubled = solve_p_nu(nu, 2.0, SpreadSpec(2.0, 0.5), g, tol=1e-8)  # f = 2 t^2
     # stronger spreading pushes mass outward: transport grows, original-f
     # spread integral shrinks
     assert doubled.transport_value >= base.transport_value - 1e-9
@@ -252,8 +271,7 @@ def test_eval_total_between_fields_and_interaction_density():
     a /= a.sum() * g.cell_area
     b /= b.sum() * g.cell_area
     mu, nu = ScalarField(a, g), ScalarField(b, g)
-    conc = ConcentrationSpec(kind="interaction",
-                             h=lambda r: np.square(np.asarray(r, dtype=float)))
+    conc = ConcentrationSpec.quadratic_interaction(1.0)
     val = eval_total(mu, nu, 2.0, SpreadSpec.quadratic(), conc, g)
     assert np.isfinite(val.total) and not val.infeasible
     assert val.transport == pytest.approx(shift ** 2, rel=1e-9)
@@ -319,8 +337,7 @@ _SPREADS = {
     "power 1.5": SpreadSpec.power(1.5),
     "power 3": SpreadSpec.power(3.0),
     "power 5": SpreadSpec.power(5.0),
-    "doubled": SpreadSpec(f=lambda t: 2.0 * np.square(t),
-                          inverse_derivative=lambda s: 0.25 * np.asarray(s, dtype=float)),
+    "doubled": SpreadSpec(2.0, 0.5),
 }
 
 
