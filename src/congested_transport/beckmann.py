@@ -31,7 +31,7 @@ from .errors import (
     SingularSystemError,
 )
 from .grids import Grid, ScalarField, VectorField
-from .kantorovich import Coupling, DiscreteMeasure, solve_discrete_ot
+from .kantorovich import Coupling, DiscreteMeasure, pairwise_distances, solve_discrete_ot
 
 
 class _StaggeredOps:
@@ -164,8 +164,7 @@ class BeckmannResult:
 
 def solve_beckmann(mu: ScalarField, nu: ScalarField, spec: CongestionSpec, grid: Grid,
                    tol: float = 1e-6, max_iter: int = 20000,
-                   cell_weights: np.ndarray | None = None,
-                   rho: float | None = None) -> BeckmannResult:
+                   cell_weights: np.ndarray | None = None) -> BeckmannResult:
     """Minimal congested flow: min h^2 sum_c w_c H(|V|_c) s.t. div v = mu - nu.
 
     Splitting scheme: every iteration projects onto the divergence constraint
@@ -187,8 +186,7 @@ def solve_beckmann(mu: ScalarField, nu: ScalarField, spec: CongestionSpec, grid:
         vf = VectorField.zeros(grid)
         return BeckmannResult(vf, 0.0, 0, True, 0.0, 0.0, 0.0, 0.0, ScalarField.zeros(grid))
 
-    if rho is None:
-        rho = h2 * float(np.mean(w))
+    rho = h2 * float(np.mean(w))
 
     # feasible warm start from the quadratic solution
     _, v0 = solve_dual_quadratic(mu, nu, grid)
@@ -628,6 +626,4 @@ def field_w1(a: ScalarField, b: ScalarField, max_cells: int = 400) -> float:
     keep_b = wb > 0
     mu = DiscreteMeasure(weights=wa[keep_a], points=pts[keep_a])
     nu = DiscreteMeasure(weights=wb[keep_b], points=pts[keep_b])
-    diff = mu.points[:, None, :] - nu.points[None, :, :]
-    cost = np.sqrt(np.sum(diff * diff, axis=2))
-    return solve_discrete_ot(mu, nu, cost).value
+    return solve_discrete_ot(mu, nu, pairwise_distances(mu.points, nu.points)).value

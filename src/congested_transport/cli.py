@@ -1,9 +1,9 @@
 """Command-line front end: parse problem files, dispatch solvers, and emit
 machine-readable reports (report.json plus plot-ready CSV artifacts).
 
-Exit codes: 0 converged, 1 input error, 2 solver returned its best iterate
-without meeting the tolerance. Reports are byte-stable across runs with equal
-inputs, except for the timing block.
+Exit codes: 0 converged, 1 input or usage error, 2 solver returned its best
+iterate without meeting the tolerance. Reports are byte-stable across runs
+with equal inputs, except for the timing block.
 """
 
 from __future__ import annotations
@@ -144,7 +144,10 @@ def _cmd_wardrop(args) -> int:
 
 def _load_cost(args, mu, nu):
     if args.cost:
-        cost = np.loadtxt(args.cost, delimiter=",", ndmin=2)
+        try:
+            cost = np.loadtxt(args.cost, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise InputFormatError(f"{args.cost}: not a numeric CSV matrix ({exc})") from None
         return cost, {"cost": args.cost}
     return kantorovich.lp_cost_matrix(mu, nu, args.metric_p), {}
 
@@ -231,6 +234,19 @@ def _config_choice(cfg: dict, key: str, choices, where) -> str:
     return value
 
 
+def _config_keys(cfg: dict, keys, what: str, where) -> None:
+    """InputFormatError if cfg holds a key outside keys: a field that nothing
+    reads must not be ignored in silence."""
+    unread = sorted(set(cfg) - set(keys))
+    if unread:
+        raise InputFormatError(f"{where}: {what} does not read {unread[0]!r} "
+                               f"(its keys: {', '.join(map(repr, sorted(keys)))})")
+
+
+# The top-level keys of a city config that only one kind of city reads.
+_CITY_KEYS = {"atomic": ("k_max",), "interaction": ("lambda", "n_atom_side")}
+
+
 def _cmd_city(args) -> int:
     t0 = time.time()
     where = args.config
@@ -265,68 +281,65 @@ def _cmd_city(args) -> int:
         raise InputFormatError(f"{where}: the 'interaction' city is the quadratic city, "
                                f"with p = 2 and the quadratic spread; got p = {p!r} "
                                f"and a {family} spread")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    _config_keys(gspec, ("nx", "ny", "h"), "'grid'", where)
+    _config_keys(spread_cfg, ("family", "m") if family == "power" else ("family",),
+                 f"a {family} 'spread'", where)
+    _config_keys(conc_cfg, ("kind", "g", "exponent") if kind == "atomic" else ("kind",),
+                 f"an {kind} 'concentration'", where)
+    _config_keys(cfg, ("grid", "p", "tol", "spread", "concentration", *_CITY_KEYS[kind]),
+                 f"the {kind} city", where)
 
     if kind == "atomic":
         g_tag = conc_cfg.get("g", "power")
         if g_tag != "power":
-            raise InputFormatError(f"unknown atomic pole cost {g_tag!r} (supported: 'power')")
+            raise InputFormatError(f"{where}: unknown atomic pole cost {g_tag!r} "
+                                   f"(supported: 'power')")
         conc = urbanplan.ConcentrationSpec.atomic_power(
             _config_number(conc_cfg, "exponent", 0.5, where))
-        res = urbanplan.minimize_with_atomic_G(
-            p, spread, conc, k_max=_config_number(cfg, "k_max", 3, where, integer=True, least=1),
-            grid=grid, tol=tol)
+        k_max = _config_number(cfg, "k_max", 3, where, integer=True, least=1)
+        res = urbanplan.minimize_with_atomic_G(p, spread, conc, k_max=k_max, grid=grid, tol=tol)
         results = {
             "value": res.value,
             "k": res.k,
             "per_k": {str(k): v for k, v in res.per_k.items()},
+            "per_k_converged": {str(k): v for k, v in res.per_k_converged.items()},
             "catchments_connected": res.catchments_connected,
-            "decomposition": {
-                "transport": res.transport_value,
-                "spread": res.spread_value,
-                "concentration": res.concentration_value,
-            },
-            "residuals": {"characterization_l1": res.residual},
-            "converged": res.converged,
         }
-        converged = res.converged
-        mu_field, nu_atoms = res.mu, res.nu
         potential = None
-        multiplier = None
     else:
         lam = _config_number(cfg, "lambda", 1.0, where)
-        res = urbanplan.solve_quadratic_city(
-            lam, grid, tol=tol,
-            n_atom_side=_config_number(cfg, "n_atom_side", 12, where, integer=True, least=1))
+        if lam <= 0:
+            raise InputFormatError(f"{where}: 'lambda' must be positive, got {lam!r}")
+        n_atom_side = _config_number(cfg, "n_atom_side", 12, where, integer=True, least=1)
+        res = urbanplan.solve_quadratic_city(lam, grid, tol=tol, n_atom_side=n_atom_side)
         results = {
             "value": res.value,
             "iterations": res.iterations,
-            "converged": res.converged,
             "radius_analytic": urbanplan.quadratic_city_radius(lam),
             "multiplier": res.multiplier,
-            "decomposition": {
-                "transport": res.transport_value,
-                "spread": res.spread_value,
-                "concentration": res.concentration_value,
-            },
-            "residuals": {"characterization_l1": res.residual},
         }
-        converged = res.converged
-        mu_field, nu_atoms = res.mu, res.nu
         potential = res.potential
-        multiplier = res.multiplier
+    results.update({
+        "converged": res.converged,
+        "decomposition": {
+            "transport": res.transport_value,
+            "spread": res.spread_value,
+            "concentration": res.concentration_value,
+        },
+        "residuals": {"characterization_l1": res.residual},
+    })
 
-    grids.save_scalar_csv(mu_field, out / "mu.csv")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    grids.save_scalar_csv(res.mu, out / "mu.csv")
     if potential is not None:
         grids.save_scalar_csv(potential, out / "potential.csv")
-        results["multiplier"] = multiplier
     _csv(out / "nu_atoms.csv",
-         np.column_stack([nu_atoms.points, nu_atoms.weights]),
+         np.column_stack([res.nu.points, res.nu.weights]),
          header=["x", "y", "weight"])
     _write_report(out, "city", {"config_file": str(args.config), **cfg},
                   {"config": args.config}, results, t0)
-    return 0 if converged else 2
+    return 0 if res.converged else 2
 
 
 def _parse_firms(path):
@@ -343,8 +356,12 @@ def _parse_firms(path):
             if parts[0].lower() != "point" or len(parts) < 3:
                 raise InputFormatError(f"{path}:{lineno}: expected 'point <coords...> <price>'")
             vals = kantorovich.parse_numbers(parts[1:], f"{path}:{lineno}")
+            if pts and len(vals) - 1 != len(pts[0]):
+                raise InputFormatError(f"{path}:{lineno}: inconsistent point dimension")
             pts.append(vals[:-1])
             prices.append(vals[-1])
+    if not pts:
+        raise InputFormatError(f"{path}: firm file contains no points")
     return np.array(pts), np.array(prices)
 
 
@@ -352,18 +369,17 @@ def _cmd_hotelling(args) -> int:
     t0 = time.time()
     firm_points, prices = _parse_firms(args.firms)
     consumers = kantorovich.load_measure(args.consumers)
-    firms = kantorovich.DiscreteMeasure(weights=np.ones(len(prices)), points=firm_points)
     assignment, demands = kantorovich.hotelling_demands(
-        firms.points, prices, consumers, metric_p=args.metric_p)
+        firm_points, prices, consumers, metric_p=args.metric_p)
     recovered = kantorovich.hotelling_recover_prices(
-        firms.points, demands, consumers, metric_p=args.metric_p)
+        firm_points, demands, consumers, metric_p=args.metric_p)
     shift = prices - recovered
     roundtrip = float(np.abs(shift - shift[0]).max())
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _csv(out / "demands.csv", np.column_stack([
-        firms.points, prices, demands, recovered]),
-         header=["x"] * firms.points.shape[1] + ["price", "demand", "recovered_price"])
+        firm_points, prices, demands, recovered]),
+         header=["x"] * firm_points.shape[1] + ["price", "demand", "recovered_price"])
     _csv(out / "assignment.csv", assignment[:, None])
     _write_report(out, "hotelling", _resolved(args, metric_p=args.metric_p),
                   {"firms": args.firms, "consumers": args.consumers},
@@ -422,17 +438,20 @@ def _cmd_selftest(args) -> int:
 
 
 def _resolved(args, **extra) -> dict:
-    conf = {
-        "tol": getattr(args, "tol", None),
-        "max_iter": getattr(args, "max_iter", None),
-        "out": str(getattr(args, "out", ".")),
-    }
-    conf.update(extra)
-    return conf
+    tolerance = {k: getattr(args, k) for k in ("tol", "max_iter") if hasattr(args, k)}
+    return {"out": str(args.out), **tolerance, **extra}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as an input error (exit 1, one 'error:' line)
+    instead of printing the usage and exiting 2, which means 'not converged'."""
+
+    def error(self, message):
+        raise InputFormatError(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="congested-transport",
         description="Solvers for congestion-aware optimal transport problems.",
     )
@@ -440,6 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out", default=".", help="output directory")
+
+    def iterative(p):  # the stopping rule of a solver that iterates to a tolerance
         p.add_argument("--tol", type=float, default=1e-6)
         p.add_argument("--max-iter", dest="max_iter", type=int, default=5000)
 
@@ -449,6 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     pw.add_argument("--H", default="quadratic",
                     help="'quadratic' | 'affine_power a p' | 'monomial p'")
     common(pw)
+    iterative(pw)
     pw.set_defaults(func=_cmd_wardrop)
 
     po = sub.add_parser("ot", help="discrete optimal transport with dual potentials")
@@ -465,6 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--nu", required=True)
     pb.add_argument("--H", default="quadratic")
     common(pb)
+    iterative(pb)
     pb.set_defaults(func=_cmd_beckmann)
 
     pc = sub.add_parser("city", help="urban-planning functional minimization")
@@ -497,8 +520,8 @@ def _metric_exponent(args) -> float:
 
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = ap.parse_args(argv)
         if hasattr(args, "metric"):
             args.metric_p = _metric_exponent(args)
         return args.func(args)

@@ -23,9 +23,6 @@ from .errors import (
 )
 
 MASS_RTOL = 1e-10
-MARGINAL_ATOL = 1e-8
-FEAS_ATOL = 1e-8
-SLACK_ATOL = 1e-6
 SUPPORT_EPS = 1e-8
 
 
@@ -90,13 +87,35 @@ class OTResult:
     iterations: int
 
 
+def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distances |a_i - b_j| between the rows of two point arrays;
+    InputFormatError unless the points have the same dimension."""
+    if a.shape[1] != b.shape[1]:
+        raise InputFormatError(f"point dimensions differ: {a.shape[1]} and {b.shape[1]}")
+    diff = a[:, None, :] - b[None, :, :]
+    return np.sqrt(np.sum(diff * diff, axis=2))
+
+
 def lp_cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> np.ndarray:
     """Pairwise |x - y|^p between the supports (Euclidean norm)."""
     if mu.points is None or nu.points is None:
         raise InputFormatError("lp metric requires point coordinates")
-    diff = mu.points[:, None, :] - nu.points[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
-    return np.power(dist, p)
+    return np.power(pairwise_distances(mu.points, nu.points), p)
+
+
+def _project_simplex(v: np.ndarray, total: float) -> np.ndarray:
+    """Euclidean projection onto {x >= 0, sum x = total}. An inner-loop kernel,
+    private so that perfbench/tracing.py, which times every public call, does
+    not split the time of the wardrop and urbanplan loops that call it."""
+    if total <= 0:
+        return np.zeros_like(v)
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u) - total
+    idx = np.arange(1, len(v) + 1)
+    cond = u - css / idx > 0
+    rho = idx[cond][-1]
+    theta = css[rho - 1] / rho
+    return np.maximum(v - theta, 0.0)
 
 
 def _check_inputs(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: np.ndarray) -> np.ndarray:
@@ -254,16 +273,14 @@ def _ssp(cost, a, b, plan, u, v, tol):
     return iterations
 
 
-def check_coupling(coupling: Coupling, mu: DiscreteMeasure, nu: DiscreteMeasure,
-                   atol: float = MARGINAL_ATOL) -> float:
+def check_coupling(coupling: Coupling, mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     """Largest marginal violation of the plan."""
     err_r = np.abs(coupling.row_sums() - mu.weights).max(initial=0.0)
     err_c = np.abs(coupling.col_sums() - nu.weights).max(initial=0.0)
     return float(max(err_r, err_c))
 
 
-def check_potentials(pot: PotentialPair, coupling: Coupling, cost,
-                     feas_atol: float = FEAS_ATOL, slack_atol: float = SLACK_ATOL) -> tuple[float, float]:
+def check_potentials(pot: PotentialPair, coupling: Coupling, cost) -> tuple[float, float]:
     """(max feasibility violation, max complementary-slackness violation)."""
     cost = np.asarray(cost, dtype=float)
     gap = pot.phi[:, None] + pot.psi[None, :] - cost

@@ -11,13 +11,14 @@ mu lives on the grid as a density; nu is a cloud of weighted atoms. The
 transport potentials between the grid and the atoms are Kantorovich duals:
 computed by the exact transport solver at small sizes and by warm-started
 ascent on the atom potentials (with the grid side eliminated by c-transform)
-at grid scale. Each ascent evaluation recomputes the reduced-cost argmin only
-on the cells whose stored best-to-second-best gap (with a rounding margin)
-the step may have closed, in the manner of Elkan's bound-pruned k-means
-(ICML 2003), so it returns the dense argmin's floats. The level C is the
-float-exact root of a monotone mass, found by regula falsi and finished to
-adjacent floats, so it does not depend on the search path; the pole search
-evaluates each golden-section probe once.
+at grid scale, whose value is the dual objective at the returned potentials,
+a lower bound on the transport cost. Each ascent evaluation recomputes the
+reduced-cost argmin only on the cells whose stored best-to-second-best gap
+(with a rounding margin) the step may have closed, in the manner of Elkan's
+bound-pruned k-means (ICML 2003), so it returns the dense argmin's floats.
+The level C is the float-exact root of a monotone mass, found by regula
+falsi and finished to adjacent floats, so it does not depend on the search
+path; the pole search evaluates each golden-section probe once.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .errors import (
     MassMismatchError,
 )
 from .grids import Grid, ScalarField
-from .kantorovich import DiscreteMeasure, solve_discrete_ot
+from .kantorovich import DiscreteMeasure, _project_simplex, pairwise_distances, solve_discrete_ot
 
 # eval_total block-aggregates a grid density until it has at most this many
 # mass points (in total, not per side) before its exact transport solve.
@@ -134,9 +135,10 @@ class GridAtomTransport:
     """Kantorovich duals for cost |x - y|^p between grid cells and atoms.
 
     Atom positions are fixed per instance; the grid masses may change between
-    calls, so the atom-side potential is kept warm. Small problems go through
-    the exact solver; larger ones maximize the dual in the atom potentials
-    directly (the grid side is always the c-transform).
+    calls, so the atom-side potential is kept warm. Small problems with two
+    or more atoms go through the exact solver; the others maximize the dual
+    in the atom potentials directly (the grid side is always the
+    c-transform).
 
     The ascent keeps, for its last accepted potentials, each cell's argmin
     atom and a lower bound on the gap to its second-best reduced cost. A step
@@ -151,9 +153,7 @@ class GridAtomTransport:
         self.cell_points = cell_points
         self.atom_points = np.atleast_2d(atom_points)
         self.p = p
-        diff = cell_points[:, None, :] - self.atom_points[None, :, :]
-        dist = np.sqrt(np.sum(diff * diff, axis=2))
-        self.cost = np.power(dist, p)
+        self.cost = np.power(pairwise_distances(cell_points, self.atom_points), p)
         self._cost_max = float(np.abs(self.cost).max())
         self._scale = float(self.cost.max() - self.cost.min()) + 1e-12
         self.beta = np.zeros(self.atom_points.shape[0])
@@ -171,29 +171,25 @@ class GridAtomTransport:
         """Returns (psi on all cells, beta on atoms, assignment, transport value).
 
         psi is the c-transform min_j cost - beta_j evaluated at every cell, so
-        it is defined off the support of the cell masses as well. max_ascent
-        caps the warm-started dual ascent work on large instances (callers in
-        fixed-point loops only need a few refinement steps per call).
+        it is defined off the support of the cell masses as well. Two or more
+        atoms with at most GRID_ATOM_EXACT_MAX_POINTS occupied cells plus
+        atoms go through the exact solver; every other instance through the
+        warm-started dual ascent, whose work max_ascent caps (callers in
+        fixed-point loops only need a few refinement steps per call). A single
+        atom takes every cell, and the ascent returns that at once.
         """
-        m, n = self.cost.shape
+        n = self.cost.shape[1]
         total = float(cell_masses.sum())
         if abs(total - float(atom_weights.sum())) > 1e-8 * max(1.0, total):
             raise MassMismatchError("grid and atom masses differ")
-        if n == 1:
-            self.beta = np.zeros(1)
-            psi = self.cost[:, 0].copy()
-            assign = np.zeros(m, dtype=np.int64)
-            value = float(np.dot(cell_masses, psi))
-            return psi, self.beta.copy(), assign, value
         pos = cell_masses > 0
-        if int(pos.sum()) + n <= GRID_ATOM_EXACT_MAX_POINTS:
+        if n > 1 and int(pos.sum()) + n <= GRID_ATOM_EXACT_MAX_POINTS:
             mu = DiscreteMeasure(weights=cell_masses[pos], points=self.cell_points[pos])
             nu = DiscreteMeasure(weights=atom_weights, points=self.atom_points)
             res = solve_discrete_ot(mu, nu, self.cost[pos])
             self.beta = res.potentials.psi.copy()
-            psi = (self.cost - self.beta[None, :]).min(axis=1)
-            assign = np.argmin(self.cost - self.beta[None, :], axis=1)
-            return psi, self.beta.copy(), assign, res.value
+            reduced = self.cost - self.beta[None, :]
+            return reduced.min(axis=1), self.beta.copy(), reduced.argmin(axis=1), res.value
         return self._dual_ascent(cell_masses, atom_weights, max_iter=max_ascent)
 
     def _reduced_argmin(self, b):
@@ -230,6 +226,10 @@ class GridAtomTransport:
         return cost_a - b[assign], assign, (b, assign, gap, cost_a)
 
     def _dual_ascent(self, cell_masses, atom_weights, max_iter: int):
+        """Backtracking gradient ascent on the dual in beta, warm-started from
+        the previous call's beta and step. The value masses . psi + weights .
+        beta is the dual objective at the returned potentials, a lower bound
+        on the transport cost."""
         beta = self.beta.copy()
         total = float(cell_masses.sum())
         scale = self._scale
@@ -300,16 +300,11 @@ def eval_total(mu: ScalarField, nu, p: float, spread: SpreadSpec,
         conc_val = float(np.sum(conc.g(nu.weights)))
     else:
         pts, w = (nu.points, nu.weights) if atomic else _field_atoms(nu, grid)
-        d = _pairwise_dist(pts, pts)
+        d = pairwise_distances(pts, pts)
         conc_val = float(w @ conc.h(d) @ w)
 
     transport = _transport_value(mu, nu, p, grid)
     return CityValue(transport + spread_val + conc_val, transport, spread_val, conc_val)
-
-
-def _pairwise_dist(a, b):
-    diff = a[:, None, :] - b[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=2))
 
 
 def _field_atoms(fld: ScalarField, grid: Grid):
@@ -326,12 +321,9 @@ def _field_atoms(fld: ScalarField, grid: Grid):
     xc, yc = grid.cell_centers()
     mx = (vals * xc * grid.cell_area).reshape(nxc, factor, nyc, factor).sum(axis=(1, 3))
     my = (vals * yc * grid.cell_area).reshape(nxc, factor, nyc, factor).sum(axis=(1, 3))
-    m = masses.ravel()
-    keep = m > 0
-    with np.errstate(invalid="ignore"):
-        bx = np.where(m > 0, mx.ravel() / m, 0.0)
-        by = np.where(m > 0, my.ravel() / m, 0.0)
-    return np.column_stack([bx[keep], by[keep]]), m[keep]
+    keep = masses.ravel() > 0
+    m = masses.ravel()[keep]
+    return np.column_stack([mx.ravel()[keep] / m, my.ravel()[keep] / m]), m
 
 
 def _transport_value(mu: ScalarField, nu, p: float, grid: Grid) -> float:
@@ -339,14 +331,11 @@ def _transport_value(mu: ScalarField, nu, p: float, grid: Grid) -> float:
     if not atomic and np.array_equal(mu.values, nu.values):
         return 0.0
     pts_a, w_a = _field_atoms(mu, grid)
-    if atomic:
-        pts_b, w_b = nu.points, nu.weights
-    else:
-        pts_b, w_b = _field_atoms(nu, grid)
+    pts_b, w_b = (nu.points, nu.weights) if atomic else _field_atoms(nu, grid)
     keep_b = w_b > 0
     pts_b, w_b = pts_b[keep_b], w_b[keep_b]
     w_b = w_b * (w_a.sum() / w_b.sum())
-    cost = np.power(_pairwise_dist(pts_a, pts_b), p)
+    cost = np.power(pairwise_distances(pts_a, pts_b), p)
     ma = DiscreteMeasure(weights=w_a, points=pts_a)
     mb = DiscreteMeasure(weights=w_b, points=pts_b)
     return solve_discrete_ot(ma, mb, cost).value
@@ -548,6 +537,14 @@ def solve_quadratic_city(lam: float, grid: Grid, tol: float = 1e-5,
     conditional barycenter b_j is (b_j + 2 lam b) / (1 + 2 lam) with b the
     overall barycenter, which is the homothety the closed-form solution
     predicts; moves are accepted only if the total value does not increase.
+
+    The loop stops when a move fails to improve the value by tol (relative),
+    and has converged if every solve_p_nu call converged. Both half-steps
+    descend: solve_p_nu minimizes over mu for fixed atoms, and the atom move
+    minimizes over positions for the current plan, whose atom marginal
+    becomes the weights. With exact inner solves the value cannot increase,
+    so a move that makes it worse shows that the outer gain has fallen below
+    the inner solves' error, and counts as converged too.
     """
     r = quadratic_city_radius(lam)
     lx, ly = grid.extent
@@ -563,6 +560,7 @@ def solve_quadratic_city(lam: float, grid: Grid, tol: float = 1e-5,
     history: list[float] = []
     best_value = np.inf
     converged = False
+    inner_converged = True
     last_sol = None
     step_damp = 1.0
 
@@ -576,6 +574,7 @@ def solve_quadratic_city(lam: float, grid: Grid, tol: float = 1e-5,
         sol = solve_p_nu(nu, 2.0, spread, grid, tol=INNER_TOL, mu0=mu,
                          transport=transport)
         beta_prev = transport.beta.copy()
+        inner_converged = inner_converged and sol.converged
         mu = sol.mu
         masses = (mu.values * grid.cell_area).ravel()
         g_val = 2.0 * lam * _weighted_variance(atom_pts, atom_w)
@@ -586,7 +585,7 @@ def solve_quadratic_city(lam: float, grid: Grid, tol: float = 1e-5,
             last_sol = (sol, atom_pts.copy(), atom_w.copy())
             history.append(value)  # accepted iterations only
         if value > prev_best - tol * (1.0 + abs(value)) and it > 1:
-            converged = True
+            converged = inner_converged
             break
 
         # atom best response given the current assignment
@@ -596,22 +595,14 @@ def solve_quadratic_city(lam: float, grid: Grid, tol: float = 1e-5,
         sums_y = np.bincount(assign, weights=masses * cell_pts[:, 1], minlength=atom_w.shape[0])
         bary = np.array([float(masses @ cell_pts[:, 0]), float(masses @ cell_pts[:, 1])])
         keep = load > 0
-        with np.errstate(invalid="ignore"):
-            bx = np.where(keep, sums_x / np.maximum(load, 1e-300), 0.0)
-            by = np.where(keep, sums_y / np.maximum(load, 1e-300), 0.0)
-        target = np.column_stack([
-            (bx + 2.0 * lam * bary[0]) / (1.0 + 2.0 * lam),
-            (by + 2.0 * lam * bary[1]) / (1.0 + 2.0 * lam),
-        ])
-        atom_pts = atom_pts.copy()
-        atom_pts[keep] = atom_pts[keep] + step_damp * (target[keep] - atom_pts[keep])
-        atom_pts = atom_pts[keep]
+        bxy = np.column_stack([sums_x, sums_y])[keep] / np.maximum(load[keep], 1e-300)[:, None]
+        target = (bxy + 2.0 * lam * bary) / (1.0 + 2.0 * lam)
+        atom_pts = atom_pts[keep] + step_damp * (target - atom_pts[keep])
         atom_w = load[keep] / load[keep].sum()
         if beta_prev is not None:
             beta_prev = beta_prev[keep]
 
     sol, pts, w = last_sol
-    spread_val = sol.value - sol.transport_value
     return QuadraticCityResult(
         mu=sol.mu,
         nu=DiscreteMeasure(weights=w, points=pts),
@@ -622,7 +613,7 @@ def solve_quadratic_city(lam: float, grid: Grid, tol: float = 1e-5,
         potential=sol.potential,
         multiplier=sol.multiplier,
         transport_value=sol.transport_value,
-        spread_value=spread_val,
+        spread_value=sol.value - sol.transport_value,
         concentration_value=best_value - sol.value,
         residual=sol.residual,
     )
@@ -663,6 +654,7 @@ class AtomicCityResult:
     nu: DiscreteMeasure
     value: float
     per_k: dict[int, float]
+    per_k_converged: dict[int, bool]
     catchments_connected: bool
     converged: bool
     assignment: np.ndarray | None = None
@@ -687,13 +679,12 @@ def _catchments_connected(assign: np.ndarray, grid: Grid, masses: np.ndarray) ->
     amap = assign.reshape(grid.nx, grid.ny)
     occupied = masses.reshape(grid.nx, grid.ny) > 1e-14
     for label in np.unique(amap[occupied]):
+        # label is that of an occupied cell, so cells is not empty
         cells = (amap == label) & occupied
-        idx = np.argwhere(cells)
-        if len(idx) == 0:
-            continue
+        start = tuple(np.argwhere(cells)[0])
         seen = np.zeros_like(cells)
-        stack = [tuple(idx[0])]
-        seen[tuple(idx[0])] = True
+        stack = [start]
+        seen[start] = True
         while stack:
             i, j = stack.pop()
             for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
@@ -712,7 +703,14 @@ def minimize_with_atomic_G(p: float, spread: SpreadSpec, conc: ConcentrationSpec
     """Minimize W_p^p(mu, nu) + integral f(u) + sum_k g(a_k) over densities mu
     and atom clouds nu with at most k_max poles: exhaustive sweep over the
     pole count, alternating the mu subproblem, pole position best responses,
-    and projected-gradient pole sizes."""
+    and projected-gradient pole sizes.
+
+    The loop for one pole count stops when a step fails to improve the value
+    by tol (relative). It has converged when that step moved the value by
+    less than tol, before ATOMIC_MAX_OUTER steps ran out, and every solve_p_nu
+    of the loop converged; a step that worsens the value by more overshot.
+    The result's converged is that of the chosen pole count, and
+    per_k_converged holds it for every count."""
     if conc.kind != "atomic":
         raise InputFormatError("minimize_with_atomic_G needs an atomic concentration spec")
     if k_max < 1:
@@ -720,25 +718,29 @@ def minimize_with_atomic_G(p: float, spread: SpreadSpec, conc: ConcentrationSpec
     cell_pts = grid.cell_points()
     best = None
     per_k: dict[int, float] = {}
+    per_k_converged: dict[int, bool] = {}
 
     for k in range(1, k_max + 1):
         pts = _initial_poles(grid, k) if poles0 is None or k != len(poles0) else np.array(poles0, dtype=float)
         w = np.full(k, 1.0 / k)
         mu = None
         best_state = None  # (value, sol, pts, w)
+        converged = False
+        inner_converged = True
         for _ in range(ATOMIC_MAX_OUTER):
             nu = DiscreteMeasure(weights=w, points=pts)
             transport = GridAtomTransport(cell_pts, pts, p)
             sol = solve_p_nu(nu, p, spread, grid, tol=INNER_TOL, mu0=mu, transport=transport)
+            inner_converged = inner_converged and sol.converged
             mu = sol.mu
             masses = (mu.values * grid.cell_area).ravel()
             value = sol.value + float(np.sum(conc.g(w)))
             prev_best = best_state[0] if best_state is not None else np.inf
-            if value > prev_best:
-                break  # worsened: keep the recorded best
-            best_state = (value, sol, pts.copy(), w.copy())
+            if value <= prev_best:  # a worse step leaves the recorded best
+                best_state = (value, sol, pts.copy(), w.copy())
             if value > prev_best - tol * (1.0 + abs(value)):
-                break  # improvement below tolerance: converged
+                converged = inner_converged and value <= prev_best + tol * (1.0 + abs(value))
+                break
 
             # pole positions: best response within each catchment
             assign = sol.assignment
@@ -754,12 +756,13 @@ def minimize_with_atomic_G(p: float, spread: SpreadSpec, conc: ConcentrationSpec
             transport = GridAtomTransport(cell_pts, pts, p)
             _, beta, _, _ = transport.solve(masses, w)
             step = 0.1
-            w_new = _simplex_project(w - step * (conc.g_prime(w) + beta))
+            w_new = _project_simplex(w - step * (conc.g_prime(w) + beta), 1.0)
             w = np.maximum(w_new, 1e-9)
             w = w / w.sum()
 
         value_k, sol, pts_k, w_k = best_state
         per_k[k] = value_k
+        per_k_converged[k] = converged
         if best is None or value_k < best[0]:
             masses = (sol.mu.values * grid.cell_area).ravel()
             best = (value_k, k, sol, pts_k, w_k,
@@ -772,8 +775,9 @@ def minimize_with_atomic_G(p: float, spread: SpreadSpec, conc: ConcentrationSpec
         nu=DiscreteMeasure(weights=w, points=pts),
         value=value,
         per_k=per_k,
+        per_k_converged=per_k_converged,
         catchments_connected=connected,
-        converged=True,
+        converged=per_k_converged[k],
         assignment=sol.assignment,
         transport_value=sol.transport_value,
         spread_value=sol.value - sol.transport_value,
@@ -820,13 +824,3 @@ def _pole_best_position(points: np.ndarray, masses: np.ndarray, start: np.ndarra
                 d = lo + gr * (hi - lo)
             y[axis] = 0.5 * (lo + hi)
     return y
-
-
-def _simplex_project(v: np.ndarray) -> np.ndarray:
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, len(v) + 1)
-    cond = u - css / idx > 0
-    rho = idx[cond][-1]
-    theta = css[rho - 1] / rho
-    return np.maximum(v - theta, 0.0)

@@ -24,12 +24,15 @@ from .errors import (
     NegativeFlowError,
     UnreachableError,
 )
-from .kantorovich import DiscreteMeasure, solve_discrete_ot
+from .kantorovich import DiscreteMeasure, _project_simplex, solve_discrete_ot
 from .network import Network, enumerate_paths, path_cost, shortest_distances
 
 GAP_DENOM_FLOOR = 1e-12
 LINE_SEARCH_STEPS = 60
-MARGINAL_TOL = 1e-8
+HULL_MAX_ITER = 2000  # projected-gradient steps of one hull-weight re-optimization
+ORACLE_MAX_ITER = 20000  # projected-gradient steps of the fixed-demand oracle
+ORACLE_GAP_TOL = 1e-9  # its relative path-space Frank-Wolfe gap at which it stops
+GRID_SEARCH_ROUNDS = 4  # refinements of the oracle's nested grid search
 
 
 @dataclass
@@ -161,7 +164,7 @@ def _line_search(flows, direction, costs: EdgeCosts, t_max):
     return 0.5 * (lo + hi)
 
 
-def _optimize_hull_weights(atoms: dict, costs: EdgeCosts, max_iter: int = 2000):
+def _optimize_hull_weights(atoms: dict, costs: EdgeCosts):
     """Minimize sum H over the convex hull of the stored all-or-nothing
     vertices (projected gradient on the weight simplex). Cleans phantom
     weight off suboptimal vertices, which tightens both the duality gap and
@@ -173,7 +176,7 @@ def _optimize_hull_weights(atoms: dict, costs: EdgeCosts, max_iter: int = 2000):
     flows = V.T @ w
     value = float(np.sum(costs.H(flows)))
     step = 1.0
-    for _ in range(max_iter):
+    for _ in range(HULL_MAX_ITER):
         g = V @ costs.g(flows)
         gap = float(np.dot(g, w) - g.min())
         if gap <= 1e-14 * (1.0 + abs(value)):
@@ -269,9 +272,7 @@ def _frank_wolfe(net, spec, demand, tol, max_iter):
         if rel_gap <= tol:
             if not polished:
                 # final cleanup so the decomposition carries no phantom paths
-                key = atom_key(fw_flows, fw_gamma)
-                if key not in atoms:
-                    atoms[key] = [fw_flows, fw_gamma, 0.0]
+                atoms.setdefault(atom_key(fw_flows, fw_gamma), [fw_flows, fw_gamma, 0.0])
                 flows, gamma_cur = _optimize_hull_weights(atoms, costs)
                 polished = True
                 continue
@@ -299,18 +300,9 @@ def _frank_wolfe(net, spec, demand, tol, max_iter):
                 break
             for rec in atoms.values():
                 rec[2] *= 1.0 - t
-            key = atom_key(fw_flows, fw_gamma)
-            if key in atoms:
-                atoms[key][2] += t
-            else:
-                atoms[key] = [fw_flows, fw_gamma, t]
         else:
             atoms[away_key][2] -= t
-            key = atom_key(fw_flows, fw_gamma)
-            if key in atoms:
-                atoms[key][2] += t
-            else:
-                atoms[key] = [fw_flows, fw_gamma, t]
+        atoms.setdefault(atom_key(fw_flows, fw_gamma), [fw_flows, fw_gamma, 0.0])[2] += t
         flows = np.maximum(flows + t * d_flows, 0.0)
         gamma_cur = np.maximum(gamma_cur + t * d_gamma, 0.0)
 
@@ -469,19 +461,6 @@ def verify_wardrop(net: Network, result: EquilibriumResult,
     return WardropReport(max_excess=float(max_excess), worst_pair=worst, path_flows=path_flows)
 
 
-def _project_simplex(v: np.ndarray, total: float) -> np.ndarray:
-    """Euclidean projection onto {x >= 0, sum x = total}."""
-    if total <= 0:
-        return np.zeros_like(v)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - total
-    idx = np.arange(1, len(v) + 1)
-    cond = u - css / idx > 0
-    rho = idx[cond][-1]
-    theta = css[rho - 1] / rho
-    return np.maximum(v - theta, 0.0)
-
-
 def brute_force_equilibrium(net: Network, spec, demand: DemandSpec,
                             grid_steps: int = 21) -> EquilibriumResult:
     """Independent oracle: minimize sum_e H over explicit path flows.
@@ -554,7 +533,7 @@ def brute_force_equilibrium(net: Network, spec, demand: DemandSpec,
     return EquilibriumResult(flows, coupling, xi, total_cost(q), gap, 0, True)
 
 
-def _nested_grid_search(q0, active_groups, total_cost, grid_steps, rounds: int = 4):
+def _nested_grid_search(q0, active_groups, total_cost, grid_steps):
     """Refined grid sweep over the (<= 3) free simplex coordinates."""
     import itertools
 
@@ -582,7 +561,7 @@ def _nested_grid_search(q0, active_groups, total_cost, grid_steps, rounds: int =
     centers = [0.5 * m for (_, _, m) in free]
     radii = [0.5 * m for (_, _, m) in free]
     best_q, best_v = None, np.inf
-    for _ in range(rounds):
+    for _ in range(GRID_SEARCH_ROUNDS):
         axes = [np.linspace(c - r, c + r, grid_steps) for c, r in zip(centers, radii)]
         axes = [np.clip(ax, 0.0, free[i][2]) for i, ax in enumerate(axes)]
         for vals in itertools.product(*axes):
@@ -597,18 +576,17 @@ def _nested_grid_search(q0, active_groups, total_cost, grid_steps, rounds: int =
     return best_q if best_q is not None else q0
 
 
-def _projected_gradient(q, active_groups, total_cost, grad, max_iter: int = 20000,
-                        gap_tol: float = 1e-9):
+def _projected_gradient(q, active_groups, total_cost, grad):
     step = 1.0
     value = total_cost(q)
-    for _ in range(max_iter):
+    for _ in range(ORACLE_MAX_ITER):
         g = grad(q)
         # Frank-Wolfe gap in path space certifies optimality group by group
         gap = 0.0
         for idxs, mass in active_groups:
             gi = g[idxs]
             gap += float(np.dot(gi, q[idxs]) - mass * gi.min())
-        if gap <= gap_tol * (1.0 + abs(value)):
+        if gap <= ORACLE_GAP_TOL * (1.0 + abs(value)):
             break
         while True:
             q_new = q.copy()

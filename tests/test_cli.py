@@ -191,6 +191,78 @@ def test_hotelling_firm_non_numeric_field(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'firms.pts'}:2: non-numeric")
 
 
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    return err
+
+
+@pytest.mark.parametrize("argv", [
+    ["ot", "--mu", "a.pts", "--nu", "a.pts", "--tol", "1e-3"],
+    ["hotelling", "--firms", "f.pts", "--consumers", "c.pts", "--max-iter", "9"],
+    ["city", "--config", "c.json", "--tol", "1e-3"],
+    ["selftest", "--tol", "1e-3"],
+    ["wardrop", "--net", "n.net", "--demand", "d.dem", "--tol", "tiny"],
+    ["beckmann", "--mu", "mu.csv"],
+    ["transport"],
+], ids=["ot-tol", "hotelling-max-iter", "city-tol", "selftest-tol", "wardrop-tol-value",
+        "beckmann-missing-nu", "unknown-command"])
+def test_usage_error_exit_code(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)  # where '--out .' would write
+    assert main(argv) == 1
+    assert _one_error_line(capsys).startswith("error: congested-transport")
+
+
+def test_ot_cost_not_numeric(tmp_path, capsys):
+    write(tmp_path / "a.pts", "point 0.0 1.0\npoint 1.0 0.0\n")
+    write(tmp_path / "cost.csv", "0,1\n1,zero\n")
+    rc = main(["ot", "--mu", str(tmp_path / "a.pts"), "--nu", str(tmp_path / "a.pts"),
+               "--cost", str(tmp_path / "cost.csv"), "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert _one_error_line(capsys).startswith(
+        f"error: {tmp_path / 'cost.csv'}: not a numeric CSV matrix")
+
+
+@pytest.mark.parametrize("firms, message", [
+    ("# no firms\n", ": firm file contains no points"),
+    ("point 0.0 0.0\npoint 1.0 0.5 0.5\n", ":2: inconsistent point dimension"),
+], ids=["empty", "ragged"])
+def test_hotelling_firm_file_rejected(tmp_path, capsys, firms, message):
+    write(tmp_path / "firms.pts", firms)
+    write(tmp_path / "consumers.pts", "point 0.5 1.0\n")
+    rc = main(["hotelling", "--firms", str(tmp_path / "firms.pts"),
+               "--consumers", str(tmp_path / "consumers.pts"), "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert _one_error_line(capsys) == f"error: {tmp_path / 'firms.pts'}{message}\n"
+
+
+def test_ot_point_dimensions_differ(tmp_path, capsys):
+    write(tmp_path / "a.pts", "point 0.0 1.0 0.5\npoint 1.0 0.0 0.5\n")
+    write(tmp_path / "b.pts", "point 0.3 1.0\n")
+    rc = main(["ot", "--mu", str(tmp_path / "a.pts"), "--nu", str(tmp_path / "b.pts"),
+               "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert _one_error_line(capsys) == "error: point dimensions differ: 2 and 1\n"
+
+
+def test_hotelling_point_dimensions_differ(tmp_path, capsys):
+    write(tmp_path / "firms.pts", "point 0.0 0.0\npoint 1.0 0.5\n")
+    write(tmp_path / "consumers.pts", "point 0.5 0.5 0.5\npoint 0.5 1.0 0.5\n")
+    rc = main(["hotelling", "--firms", str(tmp_path / "firms.pts"),
+               "--consumers", str(tmp_path / "consumers.pts"), "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert _one_error_line(capsys) == "error: point dimensions differ: 1 and 2\n"
+
+
+def test_report_config_holds_only_read_options(tmp_path):
+    write(tmp_path / "a.pts", "point 0.0 1.0\n")
+    main(["ot", "--mu", str(tmp_path / "a.pts"), "--nu", str(tmp_path / "a.pts"),
+          "--out", str(tmp_path / "ot")])
+    assert report_of(tmp_path / "ot")["config"] == {"out": str(tmp_path / "ot"), "metric_p": 2.0}
+    main(["selftest", "--out", str(tmp_path / "st")])
+    assert report_of(tmp_path / "st")["config"] == {"out": str(tmp_path / "st")}
+
+
 def test_nonconvergence_exit_code(tmp_path):
     from congested_transport.grids import Grid, ScalarField, save_scalar_csv
 
@@ -294,6 +366,9 @@ def test_city_power_spread_without_exponent(tmp_path, capsys):
 
 
 _ATOMIC = {"concentration": {"kind": "atomic", "g": "power"}}
+_ATOMIC_KEYS = "(its keys: 'concentration', 'grid', 'k_max', 'p', 'spread', 'tol')"
+_INTERACTION_KEYS = ("(its keys: 'concentration', 'grid', 'lambda', 'n_atom_side', 'p', "
+                     "'spread', 'tol')")
 
 
 @pytest.mark.parametrize("cfg, message", [
@@ -327,16 +402,78 @@ _ATOMIC = {"concentration": {"kind": "atomic", "g": "power"}}
     ({"tol": 0}, "'tol' must be positive, got 0.0"),
     ({"n_atom_side": 0}, "'n_atom_side' must be at least 1, got 0"),
     ({**_ATOMIC, "k_max": 0}, "'k_max' must be at least 1, got 0"),
+    ({"lambda": 0}, "'lambda' must be positive, got 0.0"),
+    ({**_ATOMIC, "lambda": 1.0}, "the atomic city does not read 'lambda' " + _ATOMIC_KEYS),
+    ({**_ATOMIC, "n_atom_side": 4}, "the atomic city does not read 'n_atom_side' " + _ATOMIC_KEYS),
+    ({"k_max": 2}, "the interaction city does not read 'k_max' " + _INTERACTION_KEYS),
+    ({"concentration": {"kind": "interaction", "exponent": 0.5}},
+     "an interaction 'concentration' does not read 'exponent' (its keys: 'kind')"),
+    ({"concentration": {"kind": "interaction", "g": "power"}},
+     "an interaction 'concentration' does not read 'g' (its keys: 'kind')"),
+    ({"spread": {"family": "quadratic", "m": 3}},
+     "a quadratic 'spread' does not read 'm' (its keys: 'family')"),
+    ({"spread": {"family": "power", "m": 3, "d": 1}, **_ATOMIC},
+     "a power 'spread' does not read 'd' (its keys: 'family', 'm')"),
+    ({"lamda": 1.0}, "the interaction city does not read 'lamda' " + _INTERACTION_KEYS),
+    ({"grid": {"nx": 8, "ny": 8, "hx": 0.1}},
+     "'grid' does not read 'hx' (its keys: 'h', 'nx', 'ny')"),
+    ({**_ATOMIC, "concentration": {"kind": "atomic", "g": "log"}},
+     "unknown atomic pole cost 'log' (supported: 'power')"),
+    ({"concentration": {"kind": "atomic", "alpha": 0.5}},
+     "an atomic 'concentration' does not read 'alpha' (its keys: 'exponent', 'g', 'kind')"),
 ], ids=["p", "p-null", "tol", "lambda", "n_atom_side", "k_max", "exponent", "grid-nx",
         "grid-ny", "grid-h", "grid", "spread", "concentration", "top-level",
         "spread-family-unknown", "spread-family-missing", "concentration-kind-unknown",
         "interaction-p", "interaction-spread", "p-below-one", "tol-negative", "tol-zero",
-        "n_atom_side-zero", "k_max-zero"])
+        "n_atom_side-zero", "k_max-zero", "lambda-zero", "atomic-lambda", "atomic-n_atom_side",
+        "interaction-k_max", "interaction-exponent", "interaction-g", "quadratic-spread-m",
+        "power-spread-d", "misspelled", "grid-key", "atomic-g",
+        "atomic-concentration-key"])
 def test_city_config_field_rejected(tmp_path, capsys, cfg, message):
     write(tmp_path / "city.json", json.dumps(cfg))
     rc = main(["city", "--config", str(tmp_path / "city.json"), "--out", str(tmp_path / "run")])
     assert rc == 1
     assert capsys.readouterr().err == f"error: {tmp_path / 'city.json'}: {message}\n"
+    assert not (tmp_path / "run").exists()  # the whole config is checked before any output
+
+
+@pytest.mark.parametrize("cfg", [
+    {**_ATOMIC, "concentration": {"kind": "atomic", "exponent": 2}},
+    {"grid": {"nx": 8, "ny": 8, "h": 0.1}},
+], ids=["exponent-range", "domain-too-small"])
+def test_city_spec_rejected_before_output(tmp_path, capsys, cfg):
+    write(tmp_path / "city.json", json.dumps(cfg))
+    rc = main(["city", "--config", str(tmp_path / "city.json"), "--out", str(tmp_path / "run")])
+    assert rc == 1
+    _one_error_line(capsys)
+    assert not (tmp_path / "run").exists()
+
+
+def test_city_exit_code_when_a_pole_sweep_does_not_converge(tmp_path, monkeypatch):
+    from congested_transport import urbanplan
+
+    monkeypatch.setattr(urbanplan, "ATOMIC_MAX_OUTER", 1)
+    write(tmp_path / "city.json", json.dumps({**_ATOMIC, "k_max": 2, "tol": 1e-12,
+                                              "grid": {"nx": 8, "ny": 8, "h": 0.125}}))
+    out = tmp_path / "run"
+    assert main(["city", "--config", str(tmp_path / "city.json"), "--out", str(out)]) == 2
+    results = report_of(out)["results"]
+    assert results["converged"] is False
+    assert results["per_k_converged"] == {"1": False, "2": False}
+
+
+@pytest.mark.parametrize("cfg", [
+    {"lambda": 4.0, "n_atom_side": 3, "tol": 1e-3, "grid": {"nx": 6, "ny": 7, "h": 0.4}},
+    {**_ATOMIC, "k_max": 2, "tol": 1e-3, "grid": {"nx": 8, "ny": 8, "h": 0.125}},
+], ids=["interaction", "atomic"])
+def test_city_exit_code_when_an_inner_solve_does_not_converge(tmp_path, monkeypatch, cfg):
+    from congested_transport import urbanplan
+
+    monkeypatch.setattr(urbanplan, "P_NU_MAX_ITER", 1)
+    write(tmp_path / "city.json", json.dumps(cfg))
+    out = tmp_path / "run"
+    assert main(["city", "--config", str(tmp_path / "city.json"), "--out", str(out)]) == 2
+    assert report_of(out)["results"]["converged"] is False
 
 
 def test_city_config_not_json(tmp_path, capsys):

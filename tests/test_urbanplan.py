@@ -9,7 +9,8 @@ from congested_transport.errors import (
     InputFormatError,
 )
 from congested_transport.grids import Grid, ScalarField
-from congested_transport.kantorovich import DiscreteMeasure
+from congested_transport import urbanplan
+from congested_transport.kantorovich import DiscreteMeasure, solve_discrete_ot
 from congested_transport.urbanplan import (
     ConcentrationSpec,
     GridAtomTransport,
@@ -204,6 +205,17 @@ def test_quadratic_city_small_grid():
     assert abs(res.mu.total_mass - 1.0) <= 1e-8
 
 
+def test_city_solvers_report_an_inner_solve_that_did_not_converge(monkeypatch):
+    # one damped pass cannot meet INNER_TOL from the uniform start
+    monkeypatch.setattr(urbanplan, "P_NU_MAX_ITER", 1)
+    res = solve_quadratic_city(4.0, Grid(6, 7, 0.4), tol=1e-3, n_atom_side=3)
+    assert not res.converged
+    res = minimize_with_atomic_G(2.0, SpreadSpec.quadratic(), ConcentrationSpec.atomic_power(0.5),
+                                 2, Grid(nx=8, ny=8, h=1.0 / 8), tol=1e-3)
+    assert res.per_k_converged == {1: False, 2: False}
+    assert not res.converged
+
+
 def test_quadratic_city_contraction_across_lambda():
     g = Grid(nx=32, ny=32, h=3.0 / 32)
     moments = []
@@ -250,6 +262,19 @@ def test_atomic_two_poles_mirror_symmetry():
                                    ConcentrationSpec.atomic_power(0.5), 2, g, tol=1e-7,
                                    poles0=mirrored0)
     assert res_m.per_k[2] == pytest.approx(two, abs=1e-8)
+
+
+def test_atomic_convergence_is_that_of_the_chosen_pole_count(monkeypatch):
+    g = Grid(nx=8, ny=8, h=1.0 / 8)
+    spread, conc = SpreadSpec.quadratic(), ConcentrationSpec.atomic_power(0.5)
+    res = minimize_with_atomic_G(2.0, spread, conc, 2, g, tol=1e-6)
+    assert res.per_k_converged == {1: True, 2: True}
+    assert res.converged
+    # one outer step per pole count cannot meet any tolerance
+    monkeypatch.setattr(urbanplan, "ATOMIC_MAX_OUTER", 1)
+    res = minimize_with_atomic_G(2.0, spread, conc, 2, g, tol=1e-12)
+    assert res.per_k_converged == {1: False, 2: False}
+    assert not res.converged
 
 
 def test_atomic_k_sweep_reports_all_values():
@@ -305,6 +330,76 @@ def test_gateaux_consistency_on_grid_measures():
     nu = DiscreteMeasure(weights=nw / nw.sum(), points=rng.uniform(0.1, 0.9, (5, 2)))
     rep = gateaux_check(mu, nu, mu1, 2.0, [1e-4])
     assert rep.err[1e-4] <= 1e-3 * (1 + abs(rep.inner))
+
+
+# --------------------------------------------------- grid-to-atom transport
+
+
+def test_grid_atom_one_atom_is_the_cost_column():
+    rng = np.random.default_rng(7)
+    g = Grid(nx=9, ny=5, h=0.2)
+    masses = rng.random(g.n_cells) * (rng.random(g.n_cells) > 0.2)
+    masses /= masses.sum()
+    transport = GridAtomTransport(g.cell_points(), np.array([[0.3, 0.7]]), 1.5)
+    for _ in range(2):  # cold, then warm
+        psi, beta, assign, value = transport.solve(masses, np.array([1.0]))
+        assert psi.tobytes() == transport.cost[:, 0].tobytes()
+        assert value == float(np.dot(masses, transport.cost[:, 0]))
+        assert np.array_equal(beta, [0.0]) and not assign.any()
+
+
+@st.composite
+def _grid_atom_instances(draw, min_side=1, max_side=8, max_atoms=6, empty=0.3):
+    """Grid masses (a share of them zero), atoms anywhere in the domain, atom
+    weights, and the cost exponent."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = Grid(nx=draw(st.integers(max(min_side, 2), max_side)),
+             ny=draw(st.integers(min_side, max_side)), h=0.25)
+    n = draw(st.integers(2, max_atoms))
+    atoms = rng.random((n, 2)) * np.array(g.extent)
+    weights = rng.random(n) + 0.1
+    weights /= weights.sum()
+    masses = rng.random(g.n_cells) * (rng.random(g.n_cells) >= empty)
+    masses[rng.integers(g.n_cells)] += 0.5  # at least one occupied cell
+    masses *= weights.sum() / masses.sum()
+    return g, atoms, weights, masses, draw(st.sampled_from([1.0, 1.5, 2.0]))
+
+
+def _exact_value(g, atoms, weights, masses, cost):
+    pos = masses > 0
+    return solve_discrete_ot(DiscreteMeasure(masses[pos], g.cell_points()[pos]),
+                             DiscreteMeasure(weights, atoms), cost[pos]).value
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(problem=_grid_atom_instances())
+def test_grid_atom_value_is_a_dual_lower_bound(problem):
+    """The ascent's value is the dual objective at the returned potentials,
+    with psi the c-transform of beta, so it never exceeds the exact transport
+    cost. (solve sends instances this small to the exact solver.)"""
+    g, atoms, weights, masses, p = problem
+    transport = GridAtomTransport(g.cell_points(), atoms, p)
+    psi, beta, assign, value = transport._dual_ascent(masses, weights, max_iter=400)
+    reduced = transport.cost - beta[None, :]
+    assert psi.tobytes() == reduced.min(axis=1).tobytes()
+    assert np.array_equal(assign, reduced.argmin(axis=1))
+    assert value == float(np.dot(masses, psi) + np.dot(weights, beta))
+    assert value <= _exact_value(g, atoms, weights, masses, transport.cost) + 1e-12
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(problem=_grid_atom_instances(min_side=6, max_side=12, max_atoms=4, empty=0.0))
+def test_grid_atom_value_near_exact(problem):
+    """With every cell occupied and at least nine cells per atom, a cold
+    ascent ends within 1% of the exact cost. With fewer occupied cells per
+    atom it can stop at a kink of the dual far below it, and warm calls can
+    stall on a collapsed step (both FOUND in CHANGES.md); solve sends such
+    small instances to the exact solver."""
+    g, atoms, weights, masses, p = problem
+    transport = GridAtomTransport(g.cell_points(), atoms, p)
+    value = transport._dual_ascent(masses, weights, max_iter=400)[3]
+    exact = _exact_value(g, atoms, weights, masses, transport.cost)
+    assert exact - 1e-2 * exact <= value <= exact + 1e-12
 
 
 # ------------------------------------------- same bits as the reference forms
