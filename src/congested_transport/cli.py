@@ -69,25 +69,27 @@ def _parse_demand(path, net: network.Network):
     fixed: dict[tuple[int, int], float] = {}
     mu: dict[int, float] = {}
     nu: dict[int, float] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            kind = parts[0].lower()
-            if kind == "demand" and len(parts) == 4:
-                s, d = label_to_id.get(parts[1]), label_to_id.get(parts[2])
-                if s is None or d is None:
-                    raise InputFormatError(f"{path}:{lineno}: unknown node label")
-                fixed[(s, d)] = fixed.get((s, d), 0.0) + _amount(parts[3], path, lineno)
-            elif kind in ("mu", "nu") and len(parts) == 3:
-                node = label_to_id.get(parts[1])
-                if node is None:
-                    raise InputFormatError(f"{path}:{lineno}: unknown node label")
-                (mu if kind == "mu" else nu)[node] = _amount(parts[2], path, lineno)
-            else:
-                raise InputFormatError(f"{path}:{lineno}: unrecognized demand line")
+    for lineno, raw in enumerate(network._read_text(path).splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        kind = parts[0].lower()
+        if kind == "demand" and len(parts) == 4:
+            s, d = label_to_id.get(parts[1]), label_to_id.get(parts[2])
+            if s is None or d is None:
+                raise InputFormatError(f"{path}:{lineno}: unknown node label")
+            fixed[(s, d)] = fixed.get((s, d), 0.0) + _amount(parts[3], path, lineno)
+        elif kind in ("mu", "nu") and len(parts) == 3:
+            node = label_to_id.get(parts[1])
+            if node is None:
+                raise InputFormatError(f"{path}:{lineno}: unknown node label")
+            if node not in (net.sources if kind == "mu" else net.dests):
+                end = "source" if kind == "mu" else "dest"
+                raise InputFormatError(f"{path}:{lineno}: {kind} node is not a declared {end}")
+            (mu if kind == "mu" else nu)[node] = _amount(parts[2], path, lineno)
+        else:
+            raise InputFormatError(f"{path}:{lineno}: unrecognized demand line")
     if fixed and (mu or nu):
         raise InputFormatError(f"{path}: mix of fixed and marginal demand lines")
     if fixed:
@@ -528,7 +530,7 @@ def main(argv=None) -> int:
     except CongestedTransportError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing or unreadable file, or a directory
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -110,13 +110,13 @@ def _check_metric(net: Network, xi: np.ndarray) -> np.ndarray:
     return xi
 
 
-def _lex_dijkstra(net: Network, xi: np.ndarray, source: int):
-    """Single-source shortest paths; ties resolved to the lex-least edge sequence.
+def _lex_dijkstra(adj, xi: np.ndarray, source: int):
+    """Single-source shortest paths over the adjacency ``adj`` of
+    Network.out_edges; ties resolved to the lex-least edge sequence.
 
     Heap entries carry the full edge-id tuple so that Python tuple ordering
     settles every node with its lexicographically smallest shortest path.
     """
-    adj = net.out_edges()
     dist = {source: 0.0}
     witness: dict[int, tuple[int, ...]] = {source: ()}
     settled = set()
@@ -152,8 +152,9 @@ def shortest_distances(net: Network, xi: np.ndarray) -> ShortestPathTable:
     """
     xi = _check_metric(net, xi)
     table = ShortestPathTable(dist={}, path={})
+    adj = net.out_edges()
     for s in net.sources:
-        dist, witness = _lex_dijkstra(net, xi, s)
+        dist, witness = _lex_dijkstra(adj, xi, s)
         for d in net.dests:
             if d in dist:
                 table.dist[(s, d)] = dist[d]
@@ -266,6 +267,14 @@ def parse_network(text: str) -> Network:
                    labels=labels, edge_cost_tags=tags)
 
 
-def load_network(path) -> Network:
+def _read_text(path) -> str:
+    """The text of a problem file; InputFormatError unless it is UTF-8."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_network(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise InputFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def load_network(path) -> Network:
+    return parse_network(_read_text(path))

@@ -2,11 +2,14 @@
 routings of the demand, certify the equilibrium property of the result, and
 provide independent brute-force oracles.
 
-The solver is Frank-Wolfe in link-flow space: all-or-nothing directions from
-shortest paths under the congestioned metric xi = H'(i), exact line search by
-derivative bisection, plus pairwise (away-step) corrections over the set of
-all-or-nothing vertices encountered, which restores linear convergence of the
-duality gap.
+The solver is simplicial decomposition in link-flow space (von Hohenbalken,
+Math. Prog. 1977; Hearn, Lawphongpanich & Ventura, Math. Prog. Study 1987).
+Each iteration finds the all-or-nothing vertex of shortest paths under the
+congestioned metric xi = H'(i), with an exact transport of the marginals when
+the demand is variable, and certifies the iterate by the relative duality gap
+against it. It then minimizes sum_e H exactly over the convex hull of the
+vertices kept so far (the master problem, solved by projected Newton on the
+vertex weights) and drops the vertices whose weight falls to zero.
 """
 
 from __future__ import annotations
@@ -28,8 +31,13 @@ from .kantorovich import DiscreteMeasure, _project_simplex, solve_discrete_ot
 from .network import Network, enumerate_paths, path_cost, shortest_distances
 
 GAP_DENOM_FLOOR = 1e-12
-LINE_SEARCH_STEPS = 60
-HULL_MAX_ITER = 2000  # projected-gradient steps of one hull-weight re-optimization
+MASTER_MAX_ITER = 100  # projected-Newton steps of one master solve
+MASTER_GAP_TOL = 1e-14  # its relative gap at which it stops
+ARMIJO = 1e-4  # sufficient-decrease fraction of its line search
+ARMIJO_STEPS = 40  # step halvings before the line search gives up
+ROUNDING = 8 * np.finfo(float).eps  # relative change of the value that is rounding
+WEIGHT_FLOOR = 1e-14  # a weight this small counts as zero when a step pushes it down
+CURVATURE_FLOOR = 1e-10  # share of the largest flow under which the master takes H'' at that share
 ORACLE_MAX_ITER = 20000  # projected-gradient steps of the fixed-demand oracle
 ORACLE_GAP_TOL = 1e-9  # its relative path-space Frank-Wolfe gap at which it stops
 GRID_SEARCH_ROUNDS = 4  # refinements of the oracle's nested grid search
@@ -53,6 +61,8 @@ class DemandSpec:
         gamma = np.asarray(gamma, dtype=float)
         if np.any(gamma < 0):
             raise InputFormatError("fixed demand must be nonnegative")
+        if not np.isfinite(gamma.sum()):
+            raise InputFormatError("fixed demand must have a finite total")
         return DemandSpec(kind="fixed", gamma=gamma)
 
     @staticmethod
@@ -61,6 +71,8 @@ class DemandSpec:
         nu = np.asarray(nu, dtype=float)
         if np.any(mu < 0) or np.any(nu < 0):
             raise InputFormatError("marginal weights must be nonnegative")
+        if not (np.isfinite(mu.sum()) and np.isfinite(nu.sum())):
+            raise InputFormatError("marginal weights must have finite totals")
         if abs(mu.sum() - nu.sum()) > 1e-12 * max(1.0, mu.sum()):
             raise MassMismatchError(f"marginal masses differ: {mu.sum()} vs {nu.sum()}")
         return DemandSpec(kind="marginals", mu=mu, nu=nu)
@@ -141,72 +153,92 @@ def _distance_matrix(net: Network, xi: np.ndarray) -> tuple[np.ndarray, object]:
     return dmat, table
 
 
-def _line_search(flows, direction, costs: EdgeCosts, t_max):
-    """Exact minimization of t -> sum H(i + t*d) on [0, t_max] by bisecting
-    the (monotone) derivative."""
-    def deriv(t):
-        pt = np.maximum(flows + t * direction, 0.0)
-        return float(np.dot(costs.g(pt), direction))
-
-    if t_max <= 0:
-        return 0.0
-    if deriv(0.0) >= 0.0:
-        return 0.0
-    if deriv(t_max) <= 0.0:
-        return t_max
-    lo, hi = 0.0, t_max
-    for _ in range(LINE_SEARCH_STEPS):
-        mid = 0.5 * (lo + hi)
-        if deriv(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _curvature(costs: EdgeCosts, flows: np.ndarray) -> np.ndarray:
+    """H_e''(i_e) = (p_e - 1) i_e^(p_e - 2), with flows below CURVATURE_FLOOR
+    of the largest one raised to it, so that it stays finite on empty edges
+    with p < 2. It is 0 on p = 1 edges."""
+    floor = CURVATURE_FLOOR * (float(flows.max()) or 1.0)
+    return (costs.p - 1.0) * np.power(np.maximum(flows, floor), costs.p - 2.0)
 
 
-def _optimize_hull_weights(atoms: dict, costs: EdgeCosts):
-    """Minimize sum H over the convex hull of the stored all-or-nothing
-    vertices (projected gradient on the weight simplex). Cleans phantom
-    weight off suboptimal vertices, which tightens both the duality gap and
-    the path decomposition."""
-    keys = list(atoms.keys())
-    V = np.stack([atoms[k][0] for k in keys])  # (K, E)
-    w = np.array([atoms[k][2] for k in keys], dtype=float)
-    w = _project_simplex(w, 1.0)
-    flows = V.T @ w
-    value = float(np.sum(costs.H(flows)))
-    step = 1.0
-    for _ in range(HULL_MAX_ITER):
+def _newton_step(hess: np.ndarray, g: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """Newton direction of the master on the free vertices: the bordered KKT
+    system of min g.d + d.hess.d/2 subject to sum(d) = 0, solved by LU."""
+    idx = np.flatnonzero(free)
+    n = len(idx)
+    kkt = np.ones((n + 1, n + 1))
+    kkt[:n, :n] = hess[np.ix_(idx, idx)]
+    kkt[n, n] = 0.0
+    diag = np.arange(n)
+    # rank-deficient Hessians (linear edges, dependent vertices) stay solvable
+    kkt[diag, diag] += 1e-12 * kkt[diag, diag].max() or 1e-12
+    step = np.zeros(len(g))
+    step[idx] = np.linalg.solve(kkt, np.append(-g[idx], 0.0))[:n]
+    return step
+
+
+def _solve_master(V: np.ndarray, w: np.ndarray, flows: np.ndarray, costs: EdgeCosts):
+    """Minimize sum_e H_e((V^T w)_e) over the weight simplex by projected Newton.
+
+    ``V`` holds one vertex flow per row and ``flows`` is V^T w. A step solves
+    the bordered KKT system of the quadratic model on the free set: the
+    vertices with weight above WEIGHT_FLOOR, and those below it whose gradient
+    is under the weighted mean and which the step does not push down. The
+    step is cut at the first weight it takes to zero and halved until it
+    passes the Armijo test. A step that keeps the value within rounding of the
+    lowest one reached and moves its linear model by rounding only is taken
+    as well; unless it zeroed a weight, the solve then goes on only while the
+    gap falls. Returns the weights, the flows and the value; the flows object
+    is returned unchanged when no step was taken.
+    """
+    value = base = float(np.sum(costs.H(flows)))
+    last_gap = np.inf
+    for _ in range(MASTER_MAX_ITER):
         g = V @ costs.g(flows)
-        gap = float(np.dot(g, w) - g.min())
-        if gap <= 1e-14 * (1.0 + abs(value)):
+        mean = float(g @ w)
+        gap = mean - g.min()
+        if gap <= MASTER_GAP_TOL * (1.0 + abs(value)) or gap >= last_gap:
             break
+        free = (w > WEIGHT_FLOOR) | (g < mean)
+        hess = (V * _curvature(costs, flows)) @ V.T
         while True:
-            w_new = _project_simplex(w - step * g, 1.0)
+            step = _newton_step(hess, g, free)
+            push = np.where(w > WEIGHT_FLOOR, 0.0, np.minimum(step, 0.0))
+            if not push.any():
+                break
+            free[np.argmin(push)] = False  # it enters on a later step, if at all
+        down = np.flatnonzero(step < 0)
+        if not len(down):
+            break
+        ratios = w[down] / -step[down]
+        block = down[np.argmin(ratios)]
+        t = t_full = min(1.0, float(ratios.min()))
+        rounding = ROUNDING * (1.0 + abs(value))
+        for _ in range(ARMIJO_STEPS):
+            w_new = np.maximum(w + t * step, 0.0)
+            if t * step[block] <= -w[block]:
+                w_new[block] = 0.0
             flows_new = V.T @ w_new
             v_new = float(np.sum(costs.H(flows_new)))
-            if v_new <= value + 1e-16:
+            change = float(g @ (w_new - w))
+            descent = v_new < value + ARMIJO * change
+            if descent or max(v_new - base, -change) <= rounding:
                 break
-            step *= 0.5
-            if step < 1e-18:
-                w_new, flows_new, v_new = w, flows, value
-                break
-        if v_new >= value - 1e-18 and np.allclose(w_new, w):
-            break
+            t *= 0.5
+        else:
+            break  # no step lowers the value: what is left of the gap is rounding
         w, flows, value = w_new, flows_new, v_new
-        step *= 1.3
-    for k, wk in zip(keys, w):
-        atoms[k][2] = float(wk)
-    for k in [k for k in keys if atoms[k][2] <= 1e-14]:
-        del atoms[k]
-    wsum = sum(rec[2] for rec in atoms.values())
-    flows = sum(rec[2] * rec[0] for rec in atoms.values()) / wsum
-    gamma = sum(rec[2] * rec[1] for rec in atoms.values()) / wsum
-    return flows, gamma
+        base = min(base, value)
+        # after a step of rounding size that zeroed no weight, go on only
+        # while the gap falls
+        last_gap = np.inf if descent or t == t_full < 1.0 else gap
+    return w, flows, value
 
 
-def _frank_wolfe(net, spec, demand, tol, max_iter):
-    """Pairwise Frank-Wolfe over the polytope of (link flow, coupling) pairs."""
+def _simplicial_decomposition(net, spec, demand, tol, max_iter):
+    """Simplicial decomposition over the polytope of (link flow, coupling)
+    pairs: a Frank-Wolfe vertex per iteration, then the exact master over the
+    hull of the vertices kept so far."""
     costs = as_edge_costs(spec, net.n_edges)
     n_s, n_d = len(net.sources), len(net.dests)
 
@@ -245,80 +277,40 @@ def _frank_wolfe(net, spec, demand, tol, max_iter):
         lp_value = float(np.sum(dmat[gamma > 0] * gamma[gamma > 0]))
         return _route(net, table, gamma), gamma, lp_value
 
-    xi = costs.g(np.zeros(net.n_edges))
-    flows0, gamma0, _ = direction_vertex(xi)
-    atoms: dict[bytes, list] = {}
-
-    def atom_key(fv, gv):
-        return fv.tobytes() + gv.tobytes()
-
-    atoms[atom_key(flows0, gamma0)] = [flows0, gamma0, 1.0]
-    flows = flows0.copy()
-    gamma_cur = gamma0.copy()
+    flows, gamma_cur, _ = direction_vertex(costs.g(np.zeros(net.n_edges)))
+    V = flows[None, :]  # vertex link flows, one per row
+    G = gamma_cur.reshape(1, -1)  # their couplings, flattened
+    w = np.ones(1)
+    value = float(np.sum(costs.H(flows)))
 
     rel_gap = np.inf
     it = 0
-    polished = False
     obj_hist: list[float] = []
     gap_hist: list[float] = []
     for it in range(1, max_iter + 1):
         xi = costs.g(flows)
         fw_flows, fw_gamma, lp_value = direction_vertex(xi)
-        realized = float(np.dot(xi, flows))
-        gap_num = realized - lp_value
-        rel_gap = gap_num / max(lp_value, GAP_DENOM_FLOOR)
-        obj_hist.append(float(np.sum(costs.H(flows))))
+        rel_gap = (float(np.dot(xi, flows)) - lp_value) / max(lp_value, GAP_DENOM_FLOOR)
+        obj_hist.append(value)
         gap_hist.append(rel_gap)
         if rel_gap <= tol:
-            if not polished:
-                # final cleanup so the decomposition carries no phantom paths
-                atoms.setdefault(atom_key(fw_flows, fw_gamma), [fw_flows, fw_gamma, 0.0])
-                flows, gamma_cur = _optimize_hull_weights(atoms, costs)
-                polished = True
-                continue
-            return EquilibriumResult(flows, gamma_cur, xi, float(np.sum(costs.H(flows))),
-                                     rel_gap, it - 1, True,
+            return EquilibriumResult(flows, gamma_cur, xi, value, rel_gap, it - 1, True,
                                      objective_history=obj_hist, gap_history=gap_hist)
-        polished = False
-
-        # away atom: the active vertex the linearization most wants to leave
-        away_key = max(atoms, key=lambda k: float(np.dot(xi, atoms[k][0])))
-        away_flows, away_gamma, away_w = atoms[away_key]
-
-        d_flows = fw_flows - away_flows
-        d_gamma = fw_gamma - away_gamma
-        if float(np.dot(xi, d_flows)) < 0.0 and away_w > 0.0:
-            t = _line_search(flows, d_flows, costs, away_w)
-        else:
-            t = 0.0
-        if t <= 0.0:
-            # fall back to a classic step toward the best vertex
-            d_flows = fw_flows - flows
-            d_gamma = fw_gamma - gamma_cur
-            t = _line_search(flows, d_flows, costs, 1.0)
-            if t <= 0.0:
-                break
-            for rec in atoms.values():
-                rec[2] *= 1.0 - t
-        else:
-            atoms[away_key][2] -= t
-        atoms.setdefault(atom_key(fw_flows, fw_gamma), [fw_flows, fw_gamma, 0.0])[2] += t
-        flows = np.maximum(flows + t * d_flows, 0.0)
-        gamma_cur = np.maximum(gamma_cur + t * d_gamma, 0.0)
-
-        for key in [k for k, rec in atoms.items() if rec[2] <= 1e-15]:
-            del atoms[key]
-        if it % 8 == 0:
-            # periodically re-optimize the vertex weights (simplicial
-            # decomposition step); also resynchronizes the iterate
-            flows, gamma_cur = _optimize_hull_weights(atoms, costs)
+        V = np.vstack([V, fw_flows])
+        G = np.vstack([G, fw_gamma.reshape(1, -1)])
+        w, flows_new, value = _solve_master(V, np.append(w, 0.0), flows, costs)
+        if flows_new is flows:
+            break  # the new vertex does not help: the master is stuck at rounding
+        flows = flows_new
+        keep = w > 0
+        V, G, w = V[keep], G[keep], w[keep]
+        gamma_cur = (G.T @ w).reshape(n_s, n_d)
 
     xi = costs.g(flows)
     _, _, lp_value = direction_vertex(xi)
     rel_gap = (float(np.dot(xi, flows)) - lp_value) / max(lp_value, GAP_DENOM_FLOOR)
     converged = rel_gap <= tol
-    return EquilibriumResult(flows, gamma_cur, xi, float(np.sum(costs.H(flows))),
-                             rel_gap, it, converged,
+    return EquilibriumResult(flows, gamma_cur, xi, value, rel_gap, it, converged,
                              objective_history=obj_hist, gap_history=gap_hist)
 
 
@@ -338,7 +330,7 @@ def solve_fixed_demand(net: Network, spec, gamma,
         raise InputFormatError(
             f"gamma shape {demand.gamma.shape} != ({len(net.sources)}, {len(net.dests)})"
         )
-    return _frank_wolfe(net, spec, demand, tol, max_iter)
+    return _simplicial_decomposition(net, spec, demand, tol, max_iter)
 
 
 def solve_variable_demand(net: Network, spec, mu, nu,
@@ -354,7 +346,7 @@ def solve_variable_demand(net: Network, spec, mu, nu,
     demand = DemandSpec.marginals(mu, nu)
     if demand.mu.shape != (len(net.sources),) or demand.nu.shape != (len(net.dests),):
         raise InputFormatError("marginal lengths must match the source/destination lists")
-    return _frank_wolfe(net, spec, demand, tol, max_iter)
+    return _simplicial_decomposition(net, spec, demand, tol, max_iter)
 
 
 def verify_conservation(net: Network, result: EquilibriumResult) -> float:

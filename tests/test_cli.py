@@ -357,6 +357,44 @@ def test_demand_value_not_a_number(tmp_path, capsys):
     assert err.startswith(f"error: {tmp_path / 'd.dem'}:1: non-numeric field")
 
 
+@pytest.mark.parametrize("which", ["net", "dem"])
+def test_wardrop_file_not_utf8(tmp_path, capsys, which):
+    net, dem = b"nodes 2\nedge s d\nsource s\ndest d\n", b"demand s d 1\n"
+    bad = b"# caf\xe9\n"
+    (tmp_path / "n.net").write_bytes(bad + net if which == "net" else net)
+    (tmp_path / "d.dem").write_bytes(bad + dem if which == "dem" else dem)
+    rc = main(["wardrop", "--net", str(tmp_path / "n.net"), "--demand", str(tmp_path / "d.dem"),
+               "--out", str(tmp_path / "run")])
+    assert rc == 1
+    name = "n.net" if which == "net" else "d.dem"
+    assert _one_error_line(capsys).startswith(f"error: {tmp_path / name}: not UTF-8 text")
+
+
+def test_wardrop_demand_is_a_directory(tmp_path, capsys):
+    write(tmp_path / "n.net", "nodes 2\nedge s d\nsource s\ndest d\n")
+    rc = main(["wardrop", "--net", str(tmp_path / "n.net"), "--demand", str(tmp_path),
+               "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert "Is a directory" in _one_error_line(capsys)
+
+
+def test_demand_total_overflows(tmp_path, capsys):
+    rc, err = _wardrop_error(tmp_path, capsys, "nodes 2\nedge s d\nsource s\ndest d\n",
+                             "demand s d 1e308\ndemand s d 1e308\n")
+    assert rc == 1
+    assert err.startswith("error: fixed demand must have a finite total")
+
+
+@pytest.mark.parametrize("dem, message", [
+    ("mu s 1\nmu d 1\nnu d 2\n", "2: mu node is not a declared source"),
+    ("mu s 1\nnu s 1\nnu d 0\n", "2: nu node is not a declared dest"),
+])
+def test_marginal_node_not_a_declared_endpoint(tmp_path, capsys, dem, message):
+    rc, err = _wardrop_error(tmp_path, capsys, "nodes 2\nedge s d\nsource s\ndest d\n", dem)
+    assert rc == 1
+    assert err.startswith(f"error: {tmp_path / 'd.dem'}:{message}")
+
+
 def test_city_power_spread_without_exponent(tmp_path, capsys):
     write(tmp_path / "city.json", json.dumps({"spread": {"family": "power"}}))
     rc = main(["city", "--config", str(tmp_path / "city.json"), "--out", str(tmp_path / "run")])
@@ -539,6 +577,59 @@ def test_city_config_fuzz(tmp_path_factory, cfg):
     root = tmp_path_factory.mktemp("city")
     write(root / "city.json", json.dumps(cfg))
     assert main(["city", "--config", str(root / "city.json"), "--out", str(root / "run")]) in (0, 1, 2)
+
+
+# Small valid wardrop inputs, one line per entry: a network with two
+# sources and two destinations and per-edge families, and a fixed and a
+# marginal demand on it.
+_NET = ["nodes 5", "edge a c quadratic", "edge a d affine_power 1 2", "edge b c monomial 1",
+        "edge b d monomial 3", "edge c d", "edge d e", "source a", "source b", "dest d",
+        "dest e"]
+_DEMANDS = [["demand a d 1.5", "demand b e 0.5", "demand a e 1"],
+            ["mu a 1", "mu b 2", "nu d 1.5", "nu e 1.5"]]
+# Replacement tokens: node labels, directives, family names and numbers that
+# are out of range, not finite, huge, or not numbers at all.
+_TOKENS = ["a", "e", "z", "nodes", "edge", "source", "dest", "demand", "mu", "nu",
+           "quadratic", "monomial", "affine_power", "0", "1", "2", "-1", "0.5", "1e308",
+           "1e-320", "nan", "inf", "x", "#", "\u00e9", "3 4"]
+
+
+@st.composite
+def _wardrop_files(draw):
+    """The network and demand lines with up to three edits: a line dropped,
+    doubled, or given a token replaced, dropped or added."""
+    files = [list(_NET), list(draw(st.sampled_from(_DEMANDS)))]
+    for _ in range(draw(st.integers(0, 3))):
+        lines = files[draw(st.integers(0, 1))]
+        if not lines:
+            continue
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(["drop", "double", "replace", "delete", "append"]))
+        parts = lines[i].split()
+        j = draw(st.integers(0, max(len(parts) - 1, 0)))
+        if op == "drop":
+            del lines[i]
+        elif op == "double":
+            lines.insert(i, lines[i])
+        elif op == "delete":
+            lines[i] = " ".join(parts[:j] + parts[j + 1:])
+        else:
+            token = draw(st.sampled_from(_TOKENS))
+            parts[j:j + (op == "replace")] = [token]
+            lines[i] = " ".join(parts)
+    return ["\n".join(lines) + "\n" for lines in files]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(files=_wardrop_files())
+def test_wardrop_input_fuzz(tmp_path_factory, files):
+    root = tmp_path_factory.mktemp("wardrop")
+    # Latin-1 writes the token \u00e9 as one byte that is not UTF-8
+    (root / "n.net").write_bytes(files[0].encode("latin-1"))
+    (root / "d.dem").write_bytes(files[1].encode("latin-1"))
+    rc = main(["wardrop", "--net", str(root / "n.net"), "--demand", str(root / "d.dem"),
+               "--max-iter", "200", "--out", str(root / "run")])
+    assert rc in (0, 1, 2)
 
 
 def test_cli_import_loads_no_scipy():

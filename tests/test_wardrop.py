@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from congested_transport.congestion import CongestionSpec
+from congested_transport import wardrop
+from congested_transport.congestion import CongestionSpec, EdgeCosts
 from congested_transport.errors import NegativeFlowError
-from congested_transport.kantorovich import DiscreteMeasure, solve_discrete_ot
+from congested_transport.kantorovich import DiscreteMeasure, _project_simplex, solve_discrete_ot
 from congested_transport.network import Network, shortest_distances
 from congested_transport.wardrop import (
     DemandSpec,
@@ -265,3 +268,79 @@ def test_max_iterations_returns_flagged_best_iterate():
     assert not res.converged
     assert res.relative_gap > 1e-300
     assert np.all(res.flows >= 0)
+
+
+# ------------------------------------------------------------ the hull master
+
+
+def _projected_gradient_master(V, w, costs):
+    """Reference: the projected-gradient hull master that simplicial
+    decomposition's Newton master replaced (2000 steps, relative gap 1e-14).
+    Its step growth is capped: on a linear cost it grew until the projection
+    lost the simplex to rounding. Its value is taken at the weights scaled to
+    sum to 1, because a long step leaves their sum off by rounding."""
+    w = _project_simplex(w, 1.0)
+    flows = V.T @ w
+    value = float(np.sum(costs.H(flows)))
+    step = 1.0
+    for _ in range(2000):
+        g = V @ costs.g(flows)
+        if float(np.dot(g, w) - g.min()) <= 1e-14 * (1.0 + abs(value)):
+            break
+        while True:
+            w_new = _project_simplex(w - step * g, 1.0)
+            flows_new = V.T @ w_new
+            v_new = float(np.sum(costs.H(flows_new)))
+            if v_new <= value + 1e-16:
+                break
+            step *= 0.5
+            if step < 1e-18:
+                w_new, flows_new, v_new = w, flows, value
+                break
+        if v_new >= value - 1e-18 and np.allclose(w_new, w):
+            break
+        w, flows, value = w_new, flows_new, v_new
+        step = min(1.3 * step, 1e6)
+    return float(np.sum(costs.H(V.T @ (w / w.sum()))))
+
+
+@st.composite
+def _vertex_sets(draw):
+    """Up to 8 vertex flows on up to 10 edges with mixed (a, p), some edges
+    empty in some vertices and, at times, one vertex the midpoint of two others."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k, n_edges = draw(st.integers(1, 8)), draw(st.integers(1, 10))
+    V = rng.integers(0, 3, (k, n_edges)) * rng.uniform(0.5, 2.0) * (rng.random((k, n_edges)) < 0.6)
+    if k > 2 and draw(st.booleans()):
+        V[-1] = 0.5 * (V[0] + V[1])
+    a = rng.uniform(0.0, 2.0, n_edges) * (rng.random(n_edges) < 0.5)
+    p = rng.choice([1.0, 1.5, 2.0, 3.0], n_edges)
+    return V, EdgeCosts([CongestionSpec(ai, pi) for ai, pi in zip(a, p)], n_edges)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(problem=_vertex_sets())
+def test_master_matches_projected_gradient_oracle(problem):
+    """Adding the vertices one at a time, as the solver does, the Newton
+    master keeps the weights on the simplex, never raises the value beyond
+    rounding, and ends at a relative KKT gap of at most 1e-12 with a value no
+    higher than that of the projected-gradient master run on all vertices.
+    Both masters stop at a relative gap of 1e-14, and values are sums of up to
+    ten rounded terms, so "no higher" allows 1e-13 relative."""
+    V, costs = problem
+    rounding = 8 * np.finfo(float).eps
+    w = np.ones(1)
+    flows = V[0].copy()
+    value = float(np.sum(costs.H(flows)))
+    history = [value]
+    for k in range(2, len(V) + 1):
+        w, flows, value = wardrop._solve_master(V[:k], np.append(w, 0.0), flows, costs)
+        assert np.all(w >= 0) and abs(w.sum() - 1.0) <= 1e-12
+        assert np.allclose(flows, V[:k].T @ w, rtol=1e-12, atol=0.0)
+        assert value == float(np.sum(costs.H(flows)))
+        history.append(value)
+    assert np.all(np.diff(history) <= rounding * (1.0 + np.abs(history[1:])))
+    g = V @ costs.g(flows)
+    assert float(g @ w) - g.min() <= 1e-12 * (1.0 + abs(value))
+    reference = _projected_gradient_master(V, np.full(len(V), 1.0 / len(V)), costs)
+    assert value <= reference + 1e-13 * (1.0 + abs(reference))
