@@ -4,6 +4,7 @@ fields with a built-in no-flux boundary, discrete divergence, and CSV I/O.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,8 +28,8 @@ class Grid:
     def __post_init__(self):
         if self.nx < 2 or self.ny < 1:
             raise InputFormatError(f"grid must have nx >= 2, ny >= 1, got {self.nx}x{self.ny}")
-        if self.h <= 0:
-            raise InputFormatError(f"grid spacing must be positive, got {self.h}")
+        if not 0 < self.h < np.inf:
+            raise InputFormatError(f"grid spacing must be positive and finite, got {self.h}")
 
     @property
     def n_cells(self) -> int:
@@ -171,7 +172,7 @@ def save_scalar_csv(field: ScalarField, path) -> None:
 def load_scalar_csv(path) -> ScalarField:
     path = Path(path)
     grid = _read_sidecar(path)
-    vals = np.loadtxt(path, delimiter=",", ndmin=2)
+    vals = _load_table(path)
     if vals.shape != (grid.ny, grid.nx):
         raise InputFormatError(
             f"{path}: csv shape {vals.shape} != (ny={grid.ny}, nx={grid.nx})"
@@ -190,9 +191,20 @@ def save_vector_csv(v: VectorField, path_x, path_y) -> None:
 def load_vector_csv(path_x, path_y) -> VectorField:
     path_x, path_y = Path(path_x), Path(path_y)
     grid = _read_sidecar(path_x)
-    vx = np.loadtxt(path_x, delimiter=",", ndmin=2).T
-    vy = np.loadtxt(path_y, delimiter=",", ndmin=2).T
+    vx = _load_table(path_x).T
+    vy = _load_table(path_y).T
     return VectorField(vx, vy, grid)
+
+
+def _load_table(path: Path) -> np.ndarray:
+    """The numbers of a CSV file as a 2-D array; InputFormatError unless it
+    holds rows of numbers of one length."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # loadtxt warns on a file with no data
+            return np.loadtxt(path, delimiter=",", ndmin=2)
+    except (ValueError, UserWarning) as exc:
+        raise InputFormatError(f"{path}: not a CSV table of numbers ({exc})") from None
 
 
 def _write_sidecar(path: Path, grid: Grid) -> None:
@@ -204,7 +216,11 @@ def _read_sidecar(path: Path) -> Grid:
     side = Path(str(path) + ".grid")
     if not side.exists():
         raise InputFormatError(f"missing grid sidecar {side}")
-    parts = side.read_text(encoding="utf-8").split()
-    if len(parts) != 4 or parts[0] != "grid":
-        raise InputFormatError(f"{side}: expected 'grid <nx> <ny> <h>'")
-    return Grid(nx=int(parts[1]), ny=int(parts[2]), h=float(parts[3]))
+    try:
+        kind, nx, ny, h = side.read_text(encoding="utf-8").split()
+        if kind != "grid":
+            raise ValueError(kind)
+        nx, ny, h = int(nx), int(ny), float(h)
+    except ValueError:  # a wrong token count, a token that is not a number, or not UTF-8
+        raise InputFormatError(f"{side}: expected 'grid <nx> <ny> <h>'") from None
+    return Grid(nx=nx, ny=ny, h=h)

@@ -248,6 +248,17 @@ def _simplicial_decomposition(net, spec, demand, tol, max_iter):
     else:
         total = float(demand.mu.sum())
 
+    # no edge carries more than the total demand, so the objective and the
+    # linear term of the gap, summed over all edges at that flow, bound every
+    # flow's. The bound is deliberately conservative: a path through many
+    # edges can overflow even where each edge's cost is finite
+    at_total = np.full(net.n_edges, total)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bounded = np.isfinite(np.sum(costs.H(at_total)) + np.sum(at_total * costs.g(at_total)))
+    if not bounded:
+        raise InputFormatError(f"demand total {total!r} overflows the edge costs: "
+                               f"H or t H'(t) summed over all edges at that flow is not finite")
+
     if total <= 0:
         zero = np.zeros(net.n_edges)
         return EquilibriumResult(

@@ -21,7 +21,7 @@ from congested_transport.beckmann import (
 from congested_transport.cli import main as cli_main
 from congested_transport.congestion import CongestionSpec
 from congested_transport.errors import DegenerateDualError
-from congested_transport.grids import Grid, ScalarField
+from congested_transport.grids import Grid, ScalarField, save_scalar_csv
 from congested_transport.kantorovich import (
     DiscreteMeasure,
     gateaux_check,
@@ -412,6 +412,13 @@ def test_criterion_12_cli_determinism(tmp_path):
     (tmp_path / "d.dem").write_text("demand s d 1.0\n")
     (tmp_path / "a.pts").write_text("point 0.0 1.0\n")
     (tmp_path / "b.pts").write_text("point 1.0 1.0\n")
+    # p = 1 flow between two-blob densities: the Anderson-accelerated iteration
+    g = Grid(nx=16, ny=16, h=1.0 / 16)
+    xc, yc = g.cell_centers()
+    for name, blobs in (("mu", [(0.39, 0.50, 0.13), (0.38, 0.47, 0.11)]),
+                        ("nu", [(0.62, 0.48, 0.125), (0.61, 0.46, 0.106)])):
+        d = sum(np.exp(-((xc - x) ** 2 + (yc - y) ** 2) / (2 * s * s)) for x, y, s in blobs)
+        save_scalar_csv(ScalarField(d / (d.sum() * g.cell_area), g), tmp_path / f"{name}.csv")
 
     def run_all(out):
         rc1 = cli_main(["wardrop", "--net", str(tmp_path / "net.net"),
@@ -419,9 +426,12 @@ def test_criterion_12_cli_determinism(tmp_path):
                         "--out", str(out / "w")])
         rc2 = cli_main(["ot", "--mu", str(tmp_path / "a.pts"), "--nu", str(tmp_path / "b.pts"),
                         "--metric", "lp", "1", "--out", str(out / "o")])
-        assert rc1 == 0 and rc2 == 0
+        rc3 = cli_main(["beckmann", "--mu", str(tmp_path / "mu.csv"),
+                        "--nu", str(tmp_path / "nu.csv"), "--H", "monomial 1",
+                        "--out", str(out / "b")])
+        assert rc1 == 0 and rc2 == 0 and rc3 == 0
         blobs = {}
-        for sub in ("w", "o"):
+        for sub in ("w", "o", "b"):
             for f in sorted((out / sub).iterdir()):
                 data = f.read_bytes()
                 if f.name == "report.json":

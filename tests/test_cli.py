@@ -385,6 +385,30 @@ def test_demand_total_overflows(tmp_path, capsys):
     assert err.startswith("error: fixed demand must have a finite total")
 
 
+@pytest.mark.parametrize("dem", ["demand s d 1e155\n", "mu s 1e155\nnu d 1e155\n"])
+def test_demand_cost_overflows(tmp_path, capsys, dem):
+    """A finite demand whose cost H (here t^2/2) overflows is an input error,
+    found before the solver runs."""
+    rc, err = _wardrop_error(tmp_path, capsys, "nodes 2\nedge s d quadratic\nsource s\ndest d\n",
+                             dem)
+    assert rc == 1
+    assert err.count("\n") == 1
+    assert err.startswith("error: demand total 1e+155 overflows the edge costs")
+    assert not (tmp_path / "run").exists()
+
+
+def test_demand_cost_overflows_along_a_path(tmp_path, capsys):
+    """Each of ten edges in series has a finite cost at the total, but the
+    path through them all does not: a check edge by edge let the solver end
+    in a singular Newton system."""
+    net = "nodes 11\n" + "".join(f"edge n{i} n{i + 1} quadratic\n" for i in range(10))
+    rc, err = _wardrop_error(tmp_path, capsys, net + "source n0\ndest n10\n",
+                             "demand n0 n10 1e154\n")
+    assert rc == 1
+    assert err.count("\n") == 1
+    assert err.startswith("error: demand total 1e+154 overflows the edge costs")
+
+
 @pytest.mark.parametrize("dem, message", [
     ("mu s 1\nmu d 1\nnu d 2\n", "2: mu node is not a declared source"),
     ("mu s 1\nnu s 1\nnu d 0\n", "2: nu node is not a declared dest"),
@@ -605,19 +629,25 @@ def _wardrop_files(draw):
             continue
         i = draw(st.integers(0, len(lines) - 1))
         op = draw(st.sampled_from(["drop", "double", "replace", "delete", "append"]))
-        parts = lines[i].split()
-        j = draw(st.integers(0, max(len(parts) - 1, 0)))
-        if op == "drop":
-            del lines[i]
-        elif op == "double":
-            lines.insert(i, lines[i])
-        elif op == "delete":
-            lines[i] = " ".join(parts[:j] + parts[j + 1:])
-        else:
-            token = draw(st.sampled_from(_TOKENS))
-            parts[j:j + (op == "replace")] = [token]
-            lines[i] = " ".join(parts)
+        j = draw(st.integers(0, max(len(lines[i].split()) - 1, 0)))
+        token = draw(st.sampled_from(_TOKENS)) if op in ("replace", "append") else None
+        _edit_line(lines, i, j, op, token)
     return ["\n".join(lines) + "\n" for lines in files]
+
+
+def _edit_line(lines, i, j, op, token, sep=None):
+    """Drop or double line i, or drop token j of it, or replace it by token or
+    put token before it; tokens are split at sep (None: at whitespace)."""
+    parts = lines[i].split(sep)
+    if op == "drop":
+        del lines[i]
+    elif op == "double":
+        lines.insert(i, lines[i])
+    elif op == "delete":
+        lines[i] = (sep or " ").join(parts[:j] + parts[j + 1:])
+    else:
+        parts[j:j + (op == "replace")] = [token]
+        lines[i] = (sep or " ").join(parts)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -629,6 +659,52 @@ def test_wardrop_input_fuzz(tmp_path_factory, files):
     (root / "d.dem").write_bytes(files[1].encode("latin-1"))
     rc = main(["wardrop", "--net", str(root / "n.net"), "--demand", str(root / "d.dem"),
                "--max-iter", "200", "--out", str(root / "run")])
+    assert rc in (0, 1, 2)
+
+
+# A valid beckmann input: two 3 x 2 densities of equal mass (CSV rows are
+# y, columns x) and their 'grid nx ny h' sidecars, one file per entry.
+_GRID_FILES = [["1,2,3", "0,1,1"], ["grid 3 2 0.5"], ["2,2,2", "1,1,0"], ["grid 3 2 0.5"]]
+# Replacement tokens: sizes, spacings and densities that are out of range,
+# not finite, huge, tiny or not numbers, and separators out of place.
+_GRID_TOKENS = ["0", "1", "-1", "2", "4", "0.5", "0.25", "1e308", "-1e308", "1e-320", "nan",
+                "inf", "x", "", "#", "grid", "é", "3 4", "1,2", "99999999999"]
+
+
+@st.composite
+def _grid_files(draw):
+    """The density CSVs and sidecars with up to three edits: a line dropped or
+    doubled, or a token replaced, dropped or added, in one file or at the
+    same place in both densities (which keeps their masses equal). Both
+    densities may first be scaled by a power of ten near the float limits."""
+    scale = draw(st.sampled_from(["", "e-320", "e-160", "e154", "e300"]))
+    files = [[",".join(v + scale for v in line.split(",")) if k % 2 == 0 else line
+              for line in lines] for k, lines in enumerate(_GRID_FILES)]
+    for _ in range(draw(st.sampled_from([0, 1, 1, 2, 3]))):
+        which = draw(st.integers(0, len(files) + 1))
+        i, j = draw(st.integers(0, 2)), draw(st.integers(0, 3))
+        op = draw(st.sampled_from(["drop", "double", "replace", "delete", "append"]))
+        token = draw(st.sampled_from(_GRID_TOKENS))
+        for k in (0, 2) if which >= len(files) else (which,):
+            lines, sep = files[k], " " if k % 2 else ","
+            if lines:
+                i = min(i, len(lines) - 1)
+                _edit_line(lines, i, min(j, len(lines[i].split(sep)) - 1), op, token, sep)
+    H = draw(st.sampled_from(["quadratic", "monomial 1", "affine_power 1 3"]))
+    return ["\n".join(lines) + "\n" for lines in files], H
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(case=_grid_files())
+def test_beckmann_input_fuzz(tmp_path_factory, case):
+    files, H = case
+    root = tmp_path_factory.mktemp("beckmann")
+    names = ["mu.csv", "mu.csv.grid", "nu.csv", "nu.csv.grid"]
+    for name, text in zip(names, files):
+        # Latin-1 writes the token é as one byte that is not UTF-8
+        (root / name).write_bytes(text.encode("latin-1"))
+    rc = main(["beckmann", "--mu", str(root / "mu.csv"), "--nu", str(root / "nu.csv"),
+               "--H", H, "--max-iter", "50", "--out", str(root / "run")])
     assert rc in (0, 1, 2)
 
 
