@@ -344,24 +344,30 @@ def _cmd_city(args) -> int:
     return 0 if res.converged else 2
 
 
+# The round trip prices -> demands -> prices is the only certificate of a
+# hotelling run; above this error (up to a common shift) it exits 2.
+ROUNDTRIP_TOL = 1e-6
+
+
 def _parse_firms(path):
     """Firm file reuses the point format; the trailing column is the price
     (which, unlike a mass, may be negative)."""
     pts = []
     prices = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if parts[0].lower() != "point" or len(parts) < 3:
-                raise InputFormatError(f"{path}:{lineno}: expected 'point <coords...> <price>'")
-            vals = kantorovich.parse_numbers(parts[1:], f"{path}:{lineno}")
-            if pts and len(vals) - 1 != len(pts[0]):
-                raise InputFormatError(f"{path}:{lineno}: inconsistent point dimension")
-            pts.append(vals[:-1])
-            prices.append(vals[-1])
+    for lineno, raw in enumerate(network._read_text(path).splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if parts[0].lower() != "point" or len(parts) < 3:
+            raise InputFormatError(f"{path}:{lineno}: expected 'point <coords...> <price>'")
+        vals = kantorovich.parse_numbers(parts[1:], f"{path}:{lineno}")
+        if not np.all(np.isfinite(vals)):
+            raise InputFormatError(f"{path}:{lineno}: coordinates and price must be finite")
+        if pts and len(vals) - 1 != len(pts[0]):
+            raise InputFormatError(f"{path}:{lineno}: inconsistent point dimension")
+        pts.append(vals[:-1])
+        prices.append(vals[-1])
     if not pts:
         raise InputFormatError(f"{path}: firm file contains no points")
     return np.array(pts), np.array(prices)
@@ -390,7 +396,7 @@ def _cmd_hotelling(args) -> int:
                       "recovered_prices": recovered.tolist(),
                       "roundtrip_error": roundtrip,
                   }, t0)
-    return 0
+    return 0 if roundtrip <= ROUNDTRIP_TOL else 2
 
 
 def _cmd_selftest(args) -> int:
@@ -408,10 +414,17 @@ def _cmd_selftest(args) -> int:
     res = wardrop.solve_fixed_demand(net, spec, [[1.0]], tol=1e-8)
     check("two-route equilibrium", abs(res.objective - 0.5) < 1e-6 and res.relative_gap <= 1e-8)
 
-    # forced transport between two unit atoms at distance one
-    mu = kantorovich.DiscreteMeasure(weights=np.array([1.0]), points=np.array([[0.0]]))
-    nu = kantorovich.DiscreteMeasure(weights=np.array([1.0]), points=np.array([[1.0]]))
-    check("two-atom transport", abs(kantorovich.wasserstein_p(mu, nu, 1.0) - 1.0) < 1e-12)
+    # one-dimensional W1 against the closed form: the integral of |F - G|
+    # over the merged support. The tight-arc start leaves two augmentations.
+    x, y = np.arange(5.0), np.arange(5.0) + 0.5
+    mu = kantorovich.DiscreteMeasure(weights=np.array([1, 3, 1, 2, 1]) / 8, points=x[:, None])
+    nu = kantorovich.DiscreteMeasure(weights=np.array([2, 1, 1, 1, 3]) / 8, points=y[:, None])
+    merged = np.concatenate([x, y])
+    order = np.argsort(merged, kind="stable")
+    cdf_gap = np.cumsum(np.concatenate([mu.weights, -nu.weights])[order])[:-1]
+    w1 = float(np.dot(np.abs(cdf_gap), np.diff(merged[order])))
+    ot = kantorovich.solve_discrete_ot(mu, nu, kantorovich.lp_cost_matrix(mu, nu, 1.0))
+    check("one-dimensional transport", abs(ot.value - w1) < 1e-12 and ot.iterations > 0)
 
     # one-dimensional flow matches the cumulative-sum solution
     g1 = grids.Grid(nx=16, ny=1, h=1.0 / 16)
@@ -517,7 +530,10 @@ def _metric_exponent(args) -> float:
     kind, p = args.metric
     if kind != "lp":
         raise InputFormatError(f"unknown metric kind {kind!r}")
-    return kantorovich.parse_numbers([p], "--metric lp")[0]
+    p = kantorovich.parse_numbers([p], "--metric lp")[0]
+    if not np.isfinite(p):
+        raise InputFormatError(f"--metric lp: exponent must be finite, got {p}")
+    return p
 
 
 def main(argv=None) -> int:

@@ -1,11 +1,16 @@
 """Discrete optimal transport: exact couplings, dual potentials, Wasserstein
 costs, the potential-as-derivative identity, and Hotelling price recovery.
 
-The solver is a successive-shortest-path min-cost flow on the dense bipartite
-graph, with one compiled Dijkstra (scipy.sparse.csgraph) per augmentation. It
-maintains dual feasibility and complementary slackness throughout, so the
-returned potentials certify optimality by strong duality. scipy.sparse is
-imported on first use, so importing the package does not load it.
+The solver is a successive-shortest-path (SSP) min-cost flow with potentials
+on the dense bipartite graph (Ahuja, Magnanti & Orlin, Network Flows, 1993).
+It starts from the row- and column-reduction duals of Jonker & Volgenant
+(Computing 1987) and routes mass along their zero-reduced-cost arcs first,
+so only what is left needs augmenting paths. Each augmentation is one
+compiled Dijkstra (scipy.sparse.csgraph), stopped at a distance that the
+target sink lies within. The solver maintains dual feasibility and
+complementary slackness throughout, so the returned potentials certify
+optimality by strong duality. scipy.sparse is imported on first use, so
+importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from .errors import (
     NonFiniteCostError,
     TransportSolverError,
 )
+from .network import _read_text
 
 MASS_RTOL = 1e-10
 SUPPORT_EPS = 1e-8
@@ -40,6 +46,9 @@ class DiscreteMeasure:
             raise InputFormatError("weights must be one-dimensional")
         if np.any(self.weights < 0) or not np.all(np.isfinite(self.weights)):
             raise InputFormatError("weights must be finite and nonnegative")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(self.weights.sum()):
+                raise InputFormatError("the total mass overflows")
         if self.points is not None:
             self.points = np.asarray(self.points, dtype=float)
             if self.points.ndim == 1:
@@ -97,10 +106,13 @@ def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def lp_cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> np.ndarray:
-    """Pairwise |x - y|^p between the supports (Euclidean norm)."""
+    """Pairwise |x - y|^p between the supports (Euclidean norm). An entry
+    that overflows, or a zero distance to a negative power, is inf, which the
+    solvers reject as a non-finite cost."""
     if mu.points is None or nu.points is None:
         raise InputFormatError("lp metric requires point coordinates")
-    return np.power(pairwise_distances(mu.points, nu.points), p)
+    with np.errstate(over="ignore", divide="ignore"):
+        return np.power(pairwise_distances(mu.points, nu.points), p)
 
 
 def _project_simplex(v: np.ndarray, total: float) -> np.ndarray:
@@ -150,7 +162,7 @@ def solve_discrete_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, cost) -> OTResul
         psi = cost.min(axis=0) if m else np.zeros(n)
         return OTResult(Coupling(plan), PotentialPair(phi, psi), 0.0, 0.0, 0)
 
-    tol = 1e-13 * max(1.0, total)
+    tol = 1e-13 * total
 
     # dual-feasible start: row minima, then column minima of the reduced cost
     u = cost.min(axis=1).astype(float)
@@ -178,23 +190,39 @@ def solve_discrete_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, cost) -> OTResul
     u = u - shift
     v = v + shift
 
-    value = float(np.sum(plan * cost))
-    dual = float(np.dot(mu.weights, u) + np.dot(nu.weights, v))
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(np.sum(plan * cost))
+        dual = float(np.dot(mu.weights, u) + np.dot(nu.weights, v))
+    if not (np.isfinite(value) and np.isfinite(dual)):
+        raise NonFiniteCostError("the transport value overflows")
     return OTResult(Coupling(plan), PotentialPair(u, v), value, dual, it)
 
 
 def _ssp(cost, a, b, plan, u, v, tol):
     """Successive shortest paths with potentials on the dense bipartite graph.
 
+    Start: on entry every column has a zero reduced cost (the column-min
+    duals). One more row reduction gives every row one too without losing
+    the columns' zeros, since a row holding a column's zero has row minimum
+    zero. Mass then goes along these tight arcs: each column to its
+    lowest-index tight row, then each row that still has supply to its tight
+    open columns, in index order. Only the mass left over is augmented.
+
     Each augmentation runs one compiled multi-source Dijkstra over the
     residual graph: nodes are the m sources then the n sinks, forward arcs
     i -> m+j carry the reduced cost, and backward arcs m+j -> i carry 0
     wherever plan[i, j] > tol. The target is the lowest-index sink that still
-    needs mass at minimum distance.
+    needs mass at minimum distance d*. The search stops at the least reduced
+    cost from a root to an open sink: that one-arc path bounds d* from above.
+    Dijkstra settles nodes in order of distance, so every node within the
+    cap, the target and its path among them, gets its exact distance and a
+    predecessor on a shortest path. A node past the cap has true distance
+    above d*, so its potential update min(dist, d*) is d* either way.
 
-    Invariants: cost - u[:,None] - v[None,:] >= 0 everywhere, and zero on
-    every arc with plan > 0. Each augmentation zeroes a remaining supply, a
-    remaining deficit, or a plan entry, so the loop is finite.
+    Invariants, up to rounding: cost - u[:,None] - v[None,:] >= 0
+    everywhere, and zero on every arc with plan > 0. Each augmentation zeroes a remaining supply, a
+    remaining deficit, or a plan entry, so the loop is finite. Returns the
+    number of augmentations.
     """
     from scipy.sparse import csr_array
     from scipy.sparse.csgraph import dijkstra
@@ -202,11 +230,42 @@ def _ssp(cost, a, b, plan, u, v, tol):
     m, n = cost.shape
     a_rem = a.copy()
     b_rem = b.copy()
+
+    def ship(i, j, delta):
+        plan[i, j] += delta
+        a_rem[i] -= delta
+        b_rem[j] -= delta
+        if a_rem[i] < tol:
+            a_rem[i] = 0.0
+        if b_rem[j] < tol:
+            b_rem[j] = 0.0
+
+    rc = cost - u[:, None]
+    rc -= v
+    row_min = rc.min(axis=1)
+    u += row_min
+    tight = rc == row_min[:, None]
+    for j, i in enumerate(np.argmax(tight, axis=0)):
+        if a_rem[i] > tol and b_rem[j] > tol:
+            ship(i, j, min(a_rem[i], b_rem[j]))
+    for i in np.flatnonzero(a_rem > tol):
+        for j in np.flatnonzero(tight[i] & (b_rem > tol)):
+            ship(i, j, min(a_rem[i], b_rem[j]))
+            if a_rem[i] <= tol:
+                break
+
     iterations = 0
     guard = 50 * (m + n) + 1000
-    # forward arcs are fixed; explicit zeros in the CSR are edges to csgraph
-    fwd_indices = np.tile(np.arange(m, m + n, dtype=np.int32), m)
-    fwd_indptr = np.arange(0, m * n + 1, n, dtype=np.int32)
+    # the CSR graph: the m*n forward arcs, whose reduced costs are rewritten
+    # in place, then a tail of backward arcs of weight 0, which csgraph reads
+    # as edges because they are explicit
+    nnz = m * n
+    data = np.zeros(2 * nnz)
+    rc = data[:nnz].reshape(m, n)
+    indices = np.empty(2 * nnz, dtype=np.int32)
+    indices[:nnz] = np.tile(np.arange(m, m + n, dtype=np.int32), m)
+    indptr = np.empty(m + n + 1, dtype=np.int32)
+    indptr[:m + 1] = np.arange(0, nnz + 1, n)
 
     while True:
         roots = np.flatnonzero(a_rem > tol)
@@ -215,25 +274,25 @@ def _ssp(cost, a, b, plan, u, v, tol):
         iterations += 1
         if iterations > guard:
             raise TransportSolverError("transport solver exceeded its augmentation guard")
+        open_snk = np.flatnonzero(b_rem > tol)
+        if open_snk.size == 0:
+            raise TransportSolverError("no augmenting path found; supply exceeds demand?")
 
-        snk, src = np.divmod(np.flatnonzero(plan.T > tol), m)
-        rc = cost - u[:, None]
+        np.subtract(cost, u[:, None], out=rc)
         rc -= v
         np.maximum(rc, 0.0, out=rc)
-        graph = csr_array(
-            (np.concatenate([rc.ravel(), np.zeros(src.size)]),
-             np.concatenate([fwd_indices, src.astype(np.int32)]),
-             np.concatenate([fwd_indptr,
-                             m * n + np.cumsum(np.bincount(snk, minlength=n), dtype=np.int32)])),
-            shape=(m + n, m + n))
-        dist, pred, _ = dijkstra(graph, indices=roots, min_only=True, return_predecessors=True)
+        snk, src = np.divmod(np.flatnonzero(plan.T > tol), m)
+        end = nnz + src.size
+        indices[nnz:end] = src
+        np.cumsum(np.bincount(snk, minlength=n), out=indptr[m + 1:])
+        indptr[m + 1:] += nnz
+        graph = csr_array((data[:end], indices[:end], indptr), shape=(m + n, m + n))
+        dist, pred, _ = dijkstra(graph, indices=roots, min_only=True, return_predecessors=True,
+                                 limit=rc[roots][:, open_snk].min())
         dist_s, dist_t = dist[:m], dist[m:]
 
-        open_dist = np.where(b_rem > tol, dist_t, np.inf)
-        target = int(np.argmin(open_dist))
-        d_star = open_dist[target]
-        if not np.isfinite(d_star):
-            raise TransportSolverError("no augmenting path found; supply exceeds demand?")
+        target = int(open_snk[np.argmin(dist_t[open_snk])])
+        d_star = dist_t[target]
         # potential update keeps reduced costs nonnegative and support arcs tight
         u -= np.minimum(dist_s, d_star)
         v += np.minimum(dist_t, d_star)
@@ -418,6 +477,8 @@ def hotelling_demands(firm_points: np.ndarray, prices: np.ndarray,
     cost = np.asarray(cost, dtype=float)
     if cost.shape != (n_firms, consumers.n):
         raise InputFormatError(f"cost shape {cost.shape} != ({n_firms}, {consumers.n})")
+    if not np.all(np.isfinite(cost)):
+        raise NonFiniteCostError("cost matrix has non-finite entries")
     score = cost + prices[:, None]
     assignment = np.argmin(score, axis=0)
     demands = np.zeros(n_firms)
@@ -505,6 +566,8 @@ def parse_measure(text: str) -> DiscreteMeasure:
             raise InputFormatError(f"line {lineno}: expected 'point <coords...> <weight>'")
         vals = parse_numbers(parts[1:], f"line {lineno}")
         coords, w = vals[:-1], vals[-1]
+        if not np.all(np.isfinite(coords)):
+            raise InputFormatError(f"line {lineno}: coordinates must be finite")
         if dim is None:
             dim = len(coords)
         elif len(coords) != dim:
@@ -517,5 +580,4 @@ def parse_measure(text: str) -> DiscreteMeasure:
 
 
 def load_measure(path) -> DiscreteMeasure:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_measure(fh.read())
+    return parse_measure(_read_text(path))

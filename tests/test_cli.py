@@ -158,6 +158,19 @@ def test_hotelling_command_negative_price(tmp_path):
     assert report_of(out)["results"]["roundtrip_error"] <= 1e-6
 
 
+def test_hotelling_exit_code_when_the_round_trip_fails(tmp_path):
+    # the firm at 100 serves no consumer, so its price cannot be recovered
+    write(tmp_path / "firms.pts", "point 0.0 0.0\npoint 100.0 0.0\n")
+    write(tmp_path / "consumers.pts",
+          "\n".join(f"point {float(x)!r} {1 / 401!r}" for x in np.linspace(0, 1, 401)) + "\n")
+    out = tmp_path / "run"
+    rc = main(["hotelling", "--firms", str(tmp_path / "firms.pts"),
+               "--consumers", str(tmp_path / "consumers.pts"),
+               "--metric", "lp", "1", "--out", str(out)])
+    assert rc == 2
+    assert report_of(out)["results"]["roundtrip_error"] == pytest.approx(98.0)
+
+
 def test_input_error_exit_code(tmp_path):
     write(tmp_path / "bad.net", "nodes 1\nedge a b\nsource a\ndest b\n")
     write(tmp_path / "d.dem", "demand a b 1\n")
@@ -172,6 +185,16 @@ def test_ot_metric_exponent_not_a_number(tmp_path, capsys):
                "--metric", "lp", "x", "--out", str(tmp_path / "run")])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: --metric lp: non-numeric field")
+
+
+@pytest.mark.parametrize("command", ["ot", "hotelling"])
+def test_metric_exponent_not_finite(tmp_path, capsys, command):
+    write(tmp_path / "a.pts", "point 0.0 1.0\n")
+    files = ["--mu", "--nu"] if command == "ot" else ["--firms", "--consumers"]
+    rc = main([command, files[0], str(tmp_path / "a.pts"), files[1], str(tmp_path / "a.pts"),
+               "--metric", "lp", "nan", "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert _one_error_line(capsys) == "error: --metric lp: exponent must be finite, got nan\n"
 
 
 def test_ot_measure_non_numeric_field(tmp_path, capsys):
@@ -226,7 +249,9 @@ def test_ot_cost_not_numeric(tmp_path, capsys):
 @pytest.mark.parametrize("firms, message", [
     ("# no firms\n", ": firm file contains no points"),
     ("point 0.0 0.0\npoint 1.0 0.5 0.5\n", ":2: inconsistent point dimension"),
-], ids=["empty", "ragged"])
+    ("point 0 nan\n", ":1: coordinates and price must be finite"),
+    ("point 0 0\npoint inf 1\n", ":2: coordinates and price must be finite"),
+], ids=["empty", "ragged", "nan-price", "inf-coordinate"])
 def test_hotelling_firm_file_rejected(tmp_path, capsys, firms, message):
     write(tmp_path / "firms.pts", firms)
     write(tmp_path / "consumers.pts", "point 0.5 1.0\n")
@@ -243,6 +268,22 @@ def test_ot_point_dimensions_differ(tmp_path, capsys):
                "--out", str(tmp_path / "run")])
     assert rc == 1
     assert _one_error_line(capsys) == "error: point dimensions differ: 2 and 1\n"
+
+
+@pytest.mark.parametrize("mu, nu, message", [
+    ("point 0 0 1e300\npoint 1e10 0 1e300\n", "point 1e10 1e10 1e300\npoint 0 1e10 1e300\n",
+     "the transport value overflows"),
+    ("point 0 1e308\npoint 1 1e308\n", "point 0 1e308\npoint 1 1e308\n",
+     "the total mass overflows"),
+], ids=["value", "mass"])
+def test_ot_overflow_is_an_input_error(tmp_path, capsys, mu, nu, message):
+    write(tmp_path / "mu.pts", mu)
+    write(tmp_path / "nu.pts", nu)
+    rc = main(["ot", "--mu", str(tmp_path / "mu.pts"), "--nu", str(tmp_path / "nu.pts"),
+               "--metric", "lp", "1", "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert _one_error_line(capsys) == f"error: {message}\n"
+    assert not (tmp_path / "run").exists()
 
 
 def test_hotelling_point_dimensions_differ(tmp_path, capsys):
@@ -706,6 +747,60 @@ def test_beckmann_input_fuzz(tmp_path_factory, case):
     rc = main(["beckmann", "--mu", str(root / "mu.csv"), "--nu", str(root / "nu.csv"),
                "--H", H, "--max-iter", "50", "--out", str(root / "run")])
     assert rc in (0, 1, 2)
+
+
+# Valid point files, one line per entry: two measures of equal mass in the
+# plane, and two firms with prices (the trailing column) that share the
+# consumers between them.
+_POINT_FILES = [["point 0 0 0.5", "point 1 0 0.25", "point 0 1 0.25"],
+                ["point 0.5 0.5 0.5", "point 1 1 0.25", "point 0 2 0.25"],
+                ["point 0 0 0", "point 1 1 0.25"]]
+# Replacement tokens: coordinates, masses and prices that are negative, zero,
+# huge, tiny, not finite or not numbers, and directives out of place.
+_POINT_TOKENS = ["point", "#", "0", "1", "-1", "0.5", "1e100", "1e308", "-1e308", "1e-320", "1e-14",
+                 "nan", "inf", "-inf", "x", "\u00e9", "3 4"]
+
+
+@st.composite
+def _point_cases(draw):
+    """The point files with up to three edits, as for wardrop, and a metric
+    exponent; masses may first be scaled by a power of ten."""
+    scale = draw(st.sampled_from(["", "e-300", "e-14", "e10", "e300"]))
+    files = [[line + scale if k < 2 else line for line in lines]
+             for k, lines in enumerate(_POINT_FILES)]
+    for _ in range(draw(st.sampled_from([0, 1, 1, 2, 3]))):
+        lines = files[draw(st.integers(0, 2))]
+        if not lines:
+            continue
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(["drop", "double", "replace", "delete", "append"]))
+        j = draw(st.integers(0, len(lines[i].split()) - 1))
+        token = draw(st.sampled_from(_POINT_TOKENS)) if op in ("replace", "append") else None
+        _edit_line(lines, i, j, op, token)
+    p = draw(st.sampled_from(["1", "2", "0.5", "3", "0", "-1", "nan", "1e308", "x"]))
+    return ["\n".join(lines) + "\n" for lines in files], p
+
+
+def _reject_constant(name):
+    raise ValueError(f"report.json holds {name}, which strict JSON rejects")
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(case=_point_cases())
+def test_point_input_fuzz(tmp_path_factory, case):
+    files, p = case
+    root = tmp_path_factory.mktemp("points")
+    names = [root / "mu.pts", root / "nu.pts", root / "firms.pts"]
+    for name, text in zip(names, files):
+        # Latin-1 writes the token \u00e9 as one byte that is not UTF-8
+        name.write_bytes(text.encode("latin-1"))
+    mu, nu, firms = map(str, names)
+    for argv in (["ot", "--mu", mu, "--nu", nu], ["hotelling", "--firms", firms, "--consumers", nu]):
+        out = root / argv[0]
+        assert main(argv + ["--metric", "lp", p, "--out", str(out)]) in (0, 1, 2)
+        if (out / "report.json").exists():
+            json.loads((out / "report.json").read_text(encoding="utf-8"),
+                       parse_constant=_reject_constant)
 
 
 def test_cli_import_loads_no_scipy():

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy.optimize import linprog
 
 from congested_transport.errors import (
     DegenerateDualError,
+    InputFormatError,
     MassMismatchError,
     NonFiniteCostError,
     TransportSolverError,
@@ -220,11 +222,49 @@ def test_hotelling_round_trip_many_firms():
     assert np.abs(rec - shifted).max() <= 1e-6
 
 
+def test_hotelling_transport_starts_on_tight_arcs():
+    # each consumer's nearest firm is a tight arc of the start, so most of the
+    # 769 consumers are served before the first augmentation
+    pts = (np.arange(769) / 256.0)[:, None]
+    consumers = DiscreteMeasure(weights=np.full(769, 1 / 769), points=pts)
+    firm_pts = np.array([[0.0], [1.0], [2.0], [3.0]])
+    prices = np.array([0.0, 0.234375, -0.1953125, 0.0390625])
+    _, demands = hotelling_demands(firm_pts, prices, consumers, metric_p=1.0)
+    firms = DiscreteMeasure(weights=demands, points=firm_pts)
+    cost = lp_cost_matrix(firms, consumers, 1.0)
+    res = solve_discrete_ot(firms, consumers, cost)
+    assert res.iterations <= 200
+    assert check_coupling(res.coupling, firms, consumers) <= 1e-12
+    feas, slack = check_potentials(res.potentials, res.coupling, cost)
+    assert feas <= 1e-12 and slack <= 1e-12
+    assert abs(res.value - res.dual_value) <= 1e-12
+
+
 def test_parse_measure():
     m = parse_measure("# pts\npoint 0.0 0.5 1.0\npoint 1.0 0.5 2.0\n")
     assert m.n == 2
     assert m.total_mass == pytest.approx(3.0)
     assert m.points.shape == (2, 2)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("point 0 0 1\npoint nan 0 1\n", "line 2: coordinates must be finite"),
+    ("point 0 1e308\npoint 1 1e308\n", "the total mass overflows"),
+], ids=["nan-coordinate", "mass-overflow"])
+def test_parse_measure_rejects_non_finite_values(text, message):
+    with pytest.raises(InputFormatError, match=message):
+        parse_measure(text)
+
+
+def test_overflowing_costs_are_a_cost_error_without_warnings():
+    m = parse_measure("point 1e308 1\npoint -1e308 1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the CLI prints only its error line
+        cost = lp_cost_matrix(m, m, 1.0)
+        with pytest.raises(NonFiniteCostError):
+            solve_discrete_ot(m, m, cost)
+        with pytest.raises(NonFiniteCostError):
+            hotelling_demands(m.points[:1], np.zeros(1), m, cost=cost[:1])
 
 
 def test_ssp_excess_supply_has_no_augmenting_path():
@@ -233,6 +273,21 @@ def test_ssp_excess_supply_has_no_augmenting_path():
     v = (cost - u[:, None]).min(axis=0)
     with pytest.raises(TransportSolverError, match="no augmenting path"):
         _ssp(cost, np.array([1.0, 1.0]), np.array([0.5, 0.5]), np.zeros((2, 2)), u, v, 1e-13)
+
+
+@pytest.mark.parametrize("scale", [1e-14, 1e-300, 1e10])
+def test_solution_scales_with_the_masses(scale):
+    # the SSP tolerance is relative to the total mass, with no absolute floor
+    cost = np.array([[0.0, 1.0], [2.0, 0.5]])
+    a, b = np.array([0.75, 0.25]), np.array([0.5, 0.5])
+    ref = solve_discrete_ot(DiscreteMeasure(weights=a), DiscreteMeasure(weights=b), cost)
+    res = solve_discrete_ot(DiscreteMeasure(weights=scale * a),
+                            DiscreteMeasure(weights=scale * b), cost)
+    assert ref.value == pytest.approx(0.375, abs=1e-15)
+    assert res.value == pytest.approx(scale * ref.value, rel=1e-12)
+    assert res.dual_value == pytest.approx(scale * ref.dual_value, rel=1e-12)
+    assert np.abs(res.coupling.plan - scale * ref.coupling.plan).max() <= 1e-12 * scale
+    assert res.iterations == ref.iterations
 
 
 def _linprog_value(a, b, cost):
@@ -248,8 +303,12 @@ def _linprog_value(a, b, cost):
 
 @st.composite
 def _transport_problems(draw):
-    m = draw(st.integers(1, 8))
-    n = draw(st.integers(1, 8))
+    """Square-ish problems up to 8 x 8, or tall and wide ones up to 60 x 3
+    and 3 x 60, with zero weights allowed and costs often tied."""
+    m, n = draw(st.sampled_from([(st.integers(1, 8), st.integers(1, 8)),
+                                 (st.integers(20, 60), st.integers(1, 3)),
+                                 (st.integers(1, 3), st.integers(20, 60))]))
+    m, n = draw(m), draw(n)
     weight = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
     a = np.array(draw(st.lists(weight, min_size=m, max_size=m)))
     b = np.array(draw(st.lists(weight, min_size=n, max_size=n)))
