@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-import heapq
 
 import numpy as np
 
@@ -519,32 +518,29 @@ def rasterize_v_gamma(coupling, src_pts, dst_pts, grid: Grid) -> VectorField:
 
 def grid_geodesic_distances(k: ScalarField, grid: Grid, source_cells, target_cells) -> np.ndarray:
     """Shortest-path distances on the 8-neighbor cell graph with edge length
-    (k average of the endpoints) times the Euclidean step."""
+    (k average of the endpoints) times the Euclidean step, by one compiled
+    multi-source Dijkstra (scipy.sparse.csgraph)."""
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import dijkstra
+
     nx, ny = grid.nx, grid.ny
     kv = k.values
+    cell = np.arange(nx * ny).reshape(nx, ny)
     nbrs = [(-1, 0, 1.0), (1, 0, 1.0), (0, -1, 1.0), (0, 1, 1.0),
             (-1, -1, np.sqrt(2.0)), (-1, 1, np.sqrt(2.0)),
             (1, -1, np.sqrt(2.0)), (1, 1, np.sqrt(2.0))]
-    out = np.empty((len(source_cells), len(target_cells)))
-    for si, (sx, sy) in enumerate(source_cells):
-        dist = np.full((nx, ny), np.inf)
-        dist[sx, sy] = 0.0
-        heap = [(0.0, sx, sy)]
-        while heap:
-            dv, cx, cy = heapq.heappop(heap)
-            if dv > dist[cx, cy]:
-                continue
-            for dx, dy, st in nbrs:
-                ax, ay = cx + dx, cy + dy
-                if not (0 <= ax < nx and 0 <= ay < ny):
-                    continue
-                nd = dv + 0.5 * (kv[cx, cy] + kv[ax, ay]) * st * grid.h
-                if nd < dist[ax, ay]:
-                    dist[ax, ay] = nd
-                    heapq.heappush(heap, (nd, ax, ay))
-        for ti, (tx, ty) in enumerate(target_cells):
-            out[si, ti] = dist[tx, ty]
-    return out
+    tails, heads, lengths = [], [], []
+    for dx, dy, st in nbrs:
+        at = (slice(max(0, -dx), nx - max(0, dx)), slice(max(0, -dy), ny - max(0, dy)))
+        to = (slice(max(0, dx), nx + min(0, dx)), slice(max(0, dy), ny + min(0, dy)))
+        tails.append(cell[at].ravel())
+        heads.append(cell[to].ravel())
+        lengths.append((0.5 * (kv[at] + kv[to]) * st * grid.h).ravel())
+    # an edge of length 0 stays an explicit entry, which csgraph reads as an edge
+    graph = csr_array((np.concatenate(lengths), (np.concatenate(tails), np.concatenate(heads))),
+                      shape=(nx * ny, nx * ny))
+    dist = dijkstra(graph, indices=[cell[sx, sy] for sx, sy in source_cells])
+    return dist[:, [cell[tx, ty] for tx, ty in target_cells]]
 
 
 @dataclass

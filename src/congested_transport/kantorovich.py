@@ -137,7 +137,7 @@ def _check_inputs(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: np.ndarray) ->
     if not np.all(np.isfinite(cost)):
         raise NonFiniteCostError("cost matrix has non-finite entries")
     ta, tb = mu.total_mass, nu.total_mass
-    if abs(ta - tb) > MASS_RTOL * max(1.0, ta, tb):
+    if abs(ta - tb) > MASS_RTOL * max(ta, tb):
         raise MassMismatchError(f"total masses differ: {ta} vs {tb}")
     return cost
 
@@ -221,8 +221,10 @@ def _ssp(cost, a, b, plan, u, v, tol):
 
     Invariants, up to rounding: cost - u[:,None] - v[None,:] >= 0
     everywhere, and zero on every arc with plan > 0. Each augmentation zeroes a remaining supply, a
-    remaining deficit, or a plan entry, so the loop is finite. Returns the
-    number of augmentations.
+    remaining deficit, or a plan entry, so the loop is finite. It ends when
+    no supply or no demand is left; supply left beyond the imbalance that
+    _check_inputs accepts raises TransportSolverError. Returns the number of
+    augmentations.
     """
     from scipy.sparse import csr_array
     from scipy.sparse.csgraph import dijkstra
@@ -271,12 +273,16 @@ def _ssp(cost, a, b, plan, u, v, tol):
         roots = np.flatnonzero(a_rem > tol)
         if roots.size == 0:
             break
+        open_snk = np.flatnonzero(b_rem > tol)
+        if open_snk.size == 0:
+            # every sink is full: the supply left is the excess that
+            # _check_inputs allows plus at most tol dropped at each sink
+            if a_rem.sum() > MASS_RTOL * max(a.sum(), b.sum()) + n * tol:
+                raise TransportSolverError("no augmenting path found; supply exceeds demand?")
+            break
         iterations += 1
         if iterations > guard:
             raise TransportSolverError("transport solver exceeded its augmentation guard")
-        open_snk = np.flatnonzero(b_rem > tol)
-        if open_snk.size == 0:
-            raise TransportSolverError("no augmenting path found; supply exceeds demand?")
 
         np.subtract(cost, u[:, None], out=rc)
         rc -= v

@@ -1,14 +1,23 @@
 """Directed multigraphs with sources and destinations, and shortest paths under
 a nonnegative per-edge metric.
 
-Ties between equal-cost paths are broken toward the lowest lexicographic
-edge-id sequence so witnesses are reproducible across runs.
+Shortest paths come from one compiled multi-source Dijkstra
+(scipy.sparse.csgraph) per metric. It runs over the network's arcs: the
+distinct (tail, head) pairs in sorted order, each carrying its cheapest
+parallel edge, the lowest edge id among equals. A distance is the left-fold
+float sum of the metric along a shortest path, as in any label-setting
+search; a path whose sum is infinite counts as no path. The witness path of a
+pair is its path in csgraph's shortest-path tree, where a node keeps the first
+predecessor that reached its final distance. Among equal-cost paths it is
+deterministic for a given scipy, like the BLAS note in the README, but it is
+not the lexicographically least edge sequence. scipy is imported on first use,
+so importing the package does not load it.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -38,6 +47,7 @@ class Network:
     dests: list[int]
     labels: list[str] | None = None
     edge_cost_tags: list[str | None] | None = None  # optional per-edge H override
+    _arcs: _Arcs | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_edges(self) -> int:
@@ -105,63 +115,145 @@ def _check_metric(net: Network, xi: np.ndarray) -> np.ndarray:
         raise NegativeMetricError(
             f"metric length {xi.shape} does not match edge count {net.n_edges}"
         )
+    if np.isnan(xi).any():
+        raise NegativeMetricError("edge metric has NaN entries")
     if np.any(xi < 0):
         raise NegativeMetricError("edge metric has negative entries")
     return xi
 
 
-def _lex_dijkstra(adj, xi: np.ndarray, source: int):
-    """Single-source shortest paths over the adjacency ``adj`` of
-    Network.out_edges; ties resolved to the lex-least edge sequence.
+@dataclass(frozen=True)
+class _Arcs:
+    """The metric-free part of the search graph of a network.
 
-    Heap entries carry the full edge-id tuple so that Python tuple ordering
-    settles every node with its lexicographically smallest shortest path.
+    ``order`` lists the edge ids sorted by (tail, head, id), ``starts`` the
+    position in it where each arc's run of parallel edges begins, and
+    ``arc_of`` the arc of each position. ``keys`` is tail * n_nodes + head
+    per arc, ascending, and ``indices``/``indptr`` are the CSR structure of
+    the arcs. ``edges`` is the edge list the arcs were built from.
     """
-    dist = {source: 0.0}
-    witness: dict[int, tuple[int, ...]] = {source: ()}
-    settled = set()
-    heap: list[tuple[float, tuple[int, ...], int]] = [(0.0, (), source)]
-    while heap:
-        d, path, u = heapq.heappop(heap)
-        if u in settled:
-            continue
-        settled.add(u)
-        dist[u] = d
-        witness[u] = path
-        for eid, v in adj[u]:
-            if v in settled:
-                continue
-            heapq.heappush(heap, (d + xi[eid], path + (eid,), v))
-    return dist, witness
+
+    edges: list[tuple[int, int]]
+    n_nodes: int
+    order: np.ndarray
+    starts: np.ndarray
+    arc_of: np.ndarray
+    keys: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+
+
+def _arcs_of(net: Network) -> _Arcs:
+    """The network's arcs, built once and kept while its edge list is unchanged."""
+    arcs = net._arcs
+    if arcs is not None and arcs.n_nodes == net.n_nodes and arcs.edges == net.edges:
+        return arcs
+    n = net.n_nodes
+    ends = np.array(net.edges, dtype=np.int64).reshape(-1, 2)
+    key = ends[:, 0] * n + ends[:, 1]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    new_arc = np.ones(len(key), dtype=bool)
+    new_arc[1:] = key[1:] != key[:-1]
+    starts = np.flatnonzero(new_arc)
+    keys = key[starts]
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+    net._arcs = arcs = _Arcs(list(net.edges), n, order, starts, np.cumsum(new_arc) - 1,
+                             keys, (keys % n).astype(np.int32), indptr)
+    return arcs
 
 
 @dataclass
 class ShortestPathTable:
-    """All-pairs (source, dest) distances with one witness path per pair."""
+    """Shortest distances from the sources to the destinations, with the
+    shortest-path tree of each source.
 
-    dist: dict[tuple[int, int], float]
-    path: dict[tuple[int, int], tuple[int, ...]]
+    ``matrix[si, di]`` is the distance from ``sources[si]`` to ``dests[di]``,
+    inf where there is no path. ``pred[si, v]`` is the node before v on the
+    tree path from ``sources[si]`` (negative at the source and off the tree)
+    and ``pred_edge[si, v]`` the edge that joins them. ``dist`` and ``path``
+    give the same by (source, dest) node pair, for the pairs with a path.
+    """
+
+    sources: list[int]
+    dests: list[int]
+    matrix: np.ndarray
+    pred: np.ndarray
+    pred_edge: np.ndarray
+
+    def witness(self, si: int, di: int) -> tuple[int, ...]:
+        """Edge ids of the tree path from sources[si] to dests[di]; the pair
+        must have a path."""
+        s, v = self.sources[si], self.dests[di]
+        pred, pred_edge = self._tree[si]
+        path = []
+        while v != s:
+            path.append(pred_edge[v])
+            v = pred[v]
+        return tuple(reversed(path))
+
+    @cached_property
+    def _tree(self) -> list[tuple[list[int], list[int]]]:
+        """pred and pred_edge as lists, one pair per source: a walk over
+        Python ints is several times faster than one over array items."""
+        return list(zip(self.pred.tolist(), self.pred_edge.tolist()))
+
+    def _pairs(self):
+        for si, s in enumerate(self.sources):
+            for di, d in enumerate(self.dests):
+                if np.isfinite(self.matrix[si, di]):
+                    yield si, di, (s, d)
+
+    @cached_property
+    def dist(self) -> dict[tuple[int, int], float]:
+        return {pair: float(self.matrix[si, di]) for si, di, pair in self._pairs()}
+
+    @cached_property
+    def path(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        return {pair: self.witness(si, di) for si, di, pair in self._pairs()}
+
+
+def _search(net: Network, xi: np.ndarray, sources: list[int],
+            dests: list[int]) -> ShortestPathTable:
+    """One compiled multi-source Dijkstra over the network's arcs at metric
+    ``xi``, whose entries are nonnegative or inf (no edge)."""
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import dijkstra
+
+    arcs = _arcs_of(net)
+    n = net.n_nodes
+    w = xi[arcs.order]
+    if len(arcs.starts) < len(w):
+        weight = np.minimum.reduceat(w, arcs.starts)
+        # the first position of each arc at its minimum is its lowest edge id there
+        at_min = np.flatnonzero(w == weight[arcs.arc_of])
+        first = np.diff(arcs.arc_of[at_min], prepend=-1) > 0
+        edge = arcs.order[at_min[first]]
+    else:
+        weight, edge = w, arcs.order
+    graph = csr_array((weight, arcs.indices, arcs.indptr), shape=(n, n))
+    dist, pred = dijkstra(graph, indices=sources, return_predecessors=True)
+    on_tree = pred >= 0
+    pred_edge = np.full(pred.shape, -1)
+    pred_edge[on_tree] = edge[np.searchsorted(arcs.keys, pred[on_tree].astype(np.int64) * n
+                                              + np.nonzero(on_tree)[1])]
+    return ShortestPathTable(list(sources), list(dests), dist[:, dests], pred, pred_edge)
 
 
 def shortest_distances(net: Network, xi: np.ndarray) -> ShortestPathTable:
-    """Distance d_xi(s, d) = min over paths of the summed metric, for all pairs.
+    """Distance d_xi(s, d) = min over paths of the summed metric, for every
+    source and destination of the network, and a witness path for each pair.
 
-    Raises NegativeMetricError for negative entries and UnreachableError when a
-    destination has no path from some source that should reach it (pairs with
-    no path at all are omitted only if unreachable from every source).
+    Raises NegativeMetricError for negative or NaN entries and
+    UnreachableError when a destination has no path from any source (pairs
+    without a path are left out of ``dist`` and ``path``).
     """
     xi = _check_metric(net, xi)
-    table = ShortestPathTable(dist={}, path={})
-    adj = net.out_edges()
-    for s in net.sources:
-        dist, witness = _lex_dijkstra(adj, xi, s)
-        for d in net.dests:
-            if d in dist:
-                table.dist[(s, d)] = dist[d]
-                table.path[(s, d)] = witness[d]
-    for d in net.dests:
-        if not any((s, d) in table.dist for s in net.sources):
-            raise UnreachableError(net.sources[0], d)
+    table = _search(net, xi, net.sources, net.dests)
+    reached = np.isfinite(table.matrix).any(axis=0)
+    if not reached.all():
+        raise UnreachableError(net.sources[0], net.dests[int(np.argmin(reached))])
     return table
 
 

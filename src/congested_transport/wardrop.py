@@ -14,7 +14,6 @@ vertex weights) and drops the vertices whose weight falls to zero.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +27,7 @@ from .errors import (
     UnreachableError,
 )
 from .kantorovich import DiscreteMeasure, _project_simplex, solve_discrete_ot
-from .network import Network, enumerate_paths, path_cost, shortest_distances
+from .network import Network, _search, enumerate_paths, path_cost, shortest_distances
 
 GAP_DENOM_FLOOR = 1e-12
 MASTER_MAX_ITER = 100  # projected-Newton steps of one master solve
@@ -73,7 +72,7 @@ class DemandSpec:
             raise InputFormatError("marginal weights must be nonnegative")
         if not (np.isfinite(mu.sum()) and np.isfinite(nu.sum())):
             raise InputFormatError("marginal weights must have finite totals")
-        if abs(mu.sum() - nu.sum()) > 1e-12 * max(1.0, mu.sum()):
+        if abs(mu.sum() - nu.sum()) > 1e-12 * max(mu.sum(), nu.sum()):
             raise MassMismatchError(f"marginal masses differ: {mu.sum()} vs {nu.sum()}")
         return DemandSpec(kind="marginals", mu=mu, nu=nu)
 
@@ -130,27 +129,16 @@ def all_or_nothing(net: Network, xi: np.ndarray, coupling: np.ndarray) -> np.nda
 
 def _route(net: Network, table, gamma: np.ndarray) -> np.ndarray:
     """Link flows of sending each mass gamma[si, di] along the table's witness path."""
-    flows = np.zeros(net.n_edges)
-    for si, s in enumerate(net.sources):
-        for di, d in enumerate(net.dests):
-            mass = gamma[si, di]
-            if mass <= 0:
-                continue
-            if (s, d) not in table.path:
-                raise UnreachableError(s, d)
-            for e in table.path[(s, d)]:
-                flows[e] += mass
-    return flows
-
-
-def _distance_matrix(net: Network, xi: np.ndarray) -> tuple[np.ndarray, object]:
-    table = shortest_distances(net, xi)
-    dmat = np.full((len(net.sources), len(net.dests)), np.inf)
-    for si, s in enumerate(net.sources):
-        for di, d in enumerate(net.dests):
-            if (s, d) in table.dist:
-                dmat[si, di] = table.dist[(s, d)]
-    return dmat, table
+    used = gamma > 0
+    stuck = np.argwhere(used & np.isinf(table.matrix))
+    if len(stuck):
+        si, di = stuck[0]
+        raise UnreachableError(net.sources[si], net.dests[di])
+    flows = [0.0] * net.n_edges
+    for (si, di), mass in zip(np.argwhere(used).tolist(), gamma[used].tolist()):
+        for e in table.witness(si, di):
+            flows[e] += mass
+    return np.array(flows)
 
 
 def _curvature(costs: EdgeCosts, flows: np.ndarray) -> np.ndarray:
@@ -275,7 +263,8 @@ def _simplicial_decomposition(net, spec, demand, tol, max_iter):
 
     def direction_vertex(xi):
         """Best all-or-nothing vertex at metric xi plus the linearized value."""
-        dmat, table = _distance_matrix(net, xi)
+        table = shortest_distances(net, xi)
+        dmat = table.matrix
         if demand.kind == "fixed":
             gamma = gamma_fixed
         else:
@@ -396,38 +385,11 @@ def verify_wardrop(net: Network, result: EquilibriumResult,
     path_flows: dict[tuple[int, int, tuple[int, ...]], float] = {}
     eps_edge = 1e-12
 
-    adj = net.out_edges()
-
     def residual_shortest(s, d):
-        """Dijkstra restricted to edges with remaining flow."""
-        dist = {s: 0.0}
-        prev: dict[int, tuple[int, int]] = {}
-        seen = set()
-        heap = [(0.0, s)]
-        while heap:
-            dv, u = heapq.heappop(heap)
-            if u in seen:
-                continue
-            seen.add(u)
-            if u == d:
-                break
-            for eid, v in adj[u]:
-                if residual[eid] <= eps_edge or v in seen:
-                    continue
-                nd = dv + xi[eid]
-                if nd < dist.get(v, np.inf):
-                    dist[v] = nd
-                    prev[v] = (u, eid)
-                    heapq.heappush(heap, (nd, v))
-        if d not in seen:
-            return None
-        path = []
-        node = d
-        while node != s:
-            u, eid = prev[node]
-            path.append(eid)
-            node = u
-        return tuple(reversed(path))
+        """A shortest path over the edges with remaining flow, or None."""
+        residual_xi = np.where(residual > eps_edge, xi, np.inf)
+        found = _search(net, residual_xi, [s], [d])
+        return found.witness(0, 0) if np.isfinite(found.matrix[0, 0]) else None
 
     for si, s in enumerate(net.sources):
         for di, d in enumerate(net.dests):
@@ -526,7 +488,7 @@ def brute_force_equilibrium(net: Network, spec, demand: DemandSpec,
     coupling = np.zeros((len(net.sources), len(net.dests)))
     for k, (s, d, _) in enumerate(plist):
         coupling[s_index[s], d_index[d]] += q[k]
-    dmat, _ = _distance_matrix(net, xi)
+    dmat = shortest_distances(net, xi).matrix
     if demand.kind == "fixed":
         lp = float(np.sum(dmat[coupling > 0] * coupling[coupling > 0]))
     else:

@@ -425,6 +425,47 @@ def test_grid_geodesic_octagonal_metric():
     assert d[0, 1] == pytest.approx(15 * g.h, rel=1e-12)
 
 
+def _geodesic_reference(kv, h, source):
+    """Label-setting search over the 8-neighbor cells, one heap entry per
+    improvement, with each edge length formed as grid_geodesic_distances does."""
+    import heapq
+
+    nx, ny = kv.shape
+    dist = np.full((nx, ny), np.inf)
+    dist[source] = 0.0
+    heap = [(0.0, *source)]
+    while heap:
+        dv, cx, cy = heapq.heappop(heap)
+        if dv > dist[cx, cy]:
+            continue
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                ax, ay = cx + dx, cy + dy
+                if (dx, dy) == (0, 0) or not (0 <= ax < nx and 0 <= ay < ny):
+                    continue
+                step = np.sqrt(2.0) if dx and dy else 1.0
+                nd = dv + 0.5 * (kv[cx, cy] + kv[ax, ay]) * step * h
+                if nd < dist[ax, ay]:
+                    dist[ax, ay] = nd
+                    heapq.heappush(heap, (nd, ax, ay))
+    return dist
+
+
+def test_grid_geodesic_matches_reference_bit_for_bit():
+    rng = np.random.default_rng(12)
+    for trial in range(12):
+        g = Grid(nx=int(rng.integers(2, 9)), ny=int(rng.integers(1, 9)),
+                 h=float(rng.uniform(0.05, 1.0)))
+        kv = rng.uniform(0.1, 3.0, (g.nx, g.ny))
+        if trial % 2:
+            kv = np.round(kv)  # ties, and edges of length 0
+        cells = [(int(rng.integers(g.nx)), int(rng.integers(g.ny))) for _ in range(3)]
+        d = grid_geodesic_distances(ScalarField(kv, g), g, cells[:2], cells)
+        for si, source in enumerate(cells[:2]):
+            ref = _geodesic_reference(kv, g.h, source)
+            assert [d[si, ti] for ti in range(3)] == [ref[c] for c in cells]
+
+
 # ------------------------------------------------------------- trajectories
 
 

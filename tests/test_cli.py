@@ -197,6 +197,21 @@ def test_metric_exponent_not_finite(tmp_path, capsys, command):
     assert _one_error_line(capsys) == "error: --metric lp: exponent must be finite, got nan\n"
 
 
+def test_ot_mass_balance_is_relative(tmp_path, capsys):
+    write(tmp_path / "a.pts", "point 0.0 1e-14\n")
+    write(tmp_path / "b.pts", "point 1.0 2e-14\n")
+    rc = main(["ot", "--mu", str(tmp_path / "a.pts"), "--nu", str(tmp_path / "b.pts"),
+               "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert _one_error_line(capsys).startswith("error: total masses differ")
+    # a supply 1e-11 above the demand is within the check and gets a plan
+    write(tmp_path / "a.pts", "point 0.0 0.5\npoint 0.5 0.50000000001\n")
+    write(tmp_path / "b.pts", "point 1.0 0.25\npoint 2.0 0.75\n")
+    rc = main(["ot", "--mu", str(tmp_path / "a.pts"), "--nu", str(tmp_path / "b.pts"),
+               "--out", str(tmp_path / "run")])
+    assert rc == 0
+
+
 def test_ot_measure_non_numeric_field(tmp_path, capsys):
     write(tmp_path / "a.pts", "point 0.0 1.0\npoint 0.5 oops\n")
     rc = main(["ot", "--mu", str(tmp_path / "a.pts"), "--nu", str(tmp_path / "a.pts"),

@@ -15,6 +15,7 @@ from congested_transport.errors import (
     TransportSolverError,
 )
 from congested_transport.kantorovich import (
+    MASS_RTOL,
     DiscreteMeasure,
     _ssp,
     check_coupling,
@@ -265,6 +266,29 @@ def test_overflowing_costs_are_a_cost_error_without_warnings():
             solve_discrete_ot(m, m, cost)
         with pytest.raises(NonFiniteCostError):
             hotelling_demands(m.points[:1], np.zeros(1), m, cost=cost[:1])
+
+
+@pytest.mark.parametrize("total", [1e-14, 1.0, 1e12])
+def test_mass_balance_check_is_relative(total):
+    # no absolute floor: twice the mass is refused at every scale
+    a = total * np.array([0.75, 0.25])
+    with pytest.raises(MassMismatchError):
+        solve_discrete_ot(DiscreteMeasure(weights=a), DiscreteMeasure(weights=2.0 * a),
+                          np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("m, n", [(2, 3), (5, 5), (8, 3), (1, 4), (4, 1)])
+@pytest.mark.parametrize("excess", [0.9, -0.9])
+def test_accepted_imbalance_is_solved(m, n, excess):
+    # a pair the check accepts gets a plan; the marginals miss by the imbalance
+    rng = np.random.default_rng(10 * m + n)
+    a, b = rng.random(m), rng.random(n)
+    a /= a.sum()
+    b *= (1.0 + excess * MASS_RTOL) / b.sum()
+    mu, nu = DiscreteMeasure(weights=a), DiscreteMeasure(weights=b)
+    res = solve_discrete_ot(mu, nu, rng.random((m, n)))
+    assert check_coupling(res.coupling, mu, nu) <= MASS_RTOL
+    assert abs(res.value - res.dual_value) <= 1e-9
 
 
 def test_ssp_excess_supply_has_no_augmenting_path():

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from congested_transport.errors import (
     DanglingEdgeError,
     InputFormatError,
+    NegativeMetricError,
     PathExplosionError,
     SelfLoopError,
     UnreachableError,
@@ -59,17 +62,35 @@ def test_shortest_parallel_edges():
     assert table.path[(0, 1)] == (1,)
 
 
-def test_shortest_diamond_lex_tie_break():
+def test_shortest_diamond_tie_follows_the_search_tree():
+    # both routes cost 3, and d keeps the first predecessor that reached 3:
+    # a (settled at 1) before b (settled at 2) here
     table = shortest_distances(diamond(), np.array([1.0, 2.0, 2.0, 1.0]))
-    assert table.dist[(0, 3)] == pytest.approx(3.0)
-    assert table.path[(0, 3)] == (0, 1)  # lexicographically first of the two ties
+    assert table.dist[(0, 3)] == 3.0
+    assert table.path[(0, 3)] == (0, 1)
+    # b (settled at 1) before a (settled at 2): the witness is (2, 3), where
+    # the lexicographically least edge sequence would be (0, 1)
+    table = shortest_distances(diamond(), np.array([2.0, 1.0, 1.0, 2.0]))
+    assert table.dist[(0, 3)] == 3.0
+    assert table.path[(0, 3)] == (2, 3)
 
 
 def test_negative_metric_rejected():
-    from congested_transport.errors import NegativeMetricError
-
     with pytest.raises(NegativeMetricError):
         shortest_distances(two_node_parallel(), np.array([1.0, -0.1]))
+
+
+def test_nan_metric_rejected():
+    net = Network(n_nodes=3, edges=[(0, 1), (1, 2), (0, 2)], sources=[0], dests=[2])
+    with pytest.raises(NegativeMetricError, match="NaN"):
+        shortest_distances(net, np.array([np.nan, 1.0, 5.0]))
+
+
+def test_infinite_edge_is_no_edge():
+    table = shortest_distances(diamond(), np.array([np.inf, 1.0, 1.0, 1.0]))
+    assert table.path[(0, 3)] == (2, 3)
+    with pytest.raises(UnreachableError):
+        shortest_distances(diamond(), np.array([np.inf, 1.0, 1.0, np.inf]))
 
 
 def test_enumerate_counts():
@@ -141,6 +162,64 @@ def test_metric_monotonicity():
         t1 = shortest_distances(net, xi)
         t2 = shortest_distances(net, xi2)
         assert t1.dist[(0, 3)] <= t2.dist[(0, 3)] + 1e-12
+
+
+def _bellman_ford(n, edges, xi, s):
+    """Left-fold float distances from s: relax every edge until nothing changes."""
+    dist = [np.inf] * n
+    dist[s] = 0.0
+    changed = True
+    while changed:
+        changed = False
+        for (u, v), w in zip(edges, xi.tolist()):
+            if dist[u] + w < dist[v]:
+                dist[v] = dist[u] + w
+                changed = True
+    return dist
+
+
+@st.composite
+def _multigraphs(draw):
+    """Small multigraphs with parallel edges (ids apart), zero-weight edges,
+    integer weights that tie, nodes no source reaches, and 1-3 sources."""
+    n = draw(st.integers(2, 6))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    edges = draw(st.lists(pair, max_size=12))
+    if edges:
+        edges += [edges[i] for i in draw(st.lists(st.integers(0, len(edges) - 1), max_size=4))]
+    weight = st.one_of(st.sampled_from([0.0, 1.0, 2.0]), st.floats(0.0, 4.0))
+    xi = np.array(draw(st.lists(weight, min_size=len(edges), max_size=len(edges))), dtype=float)
+    sources = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))
+    return n, edges, xi, sources
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(case=_multigraphs())
+def test_shortest_paths_match_bellman_ford(case):
+    n, edges, xi, sources = case
+    oracle = [_bellman_ford(n, edges, xi, s) for s in sources]
+    reached = [d for d in range(n) if any(dist[d] < np.inf for dist in oracle)]
+    if len(reached) < n:
+        with pytest.raises(UnreachableError):
+            shortest_distances(Network(n, edges, sources, list(range(n))), xi)
+    table = shortest_distances(Network(n, edges, sources, reached), xi)
+    for s, dist in zip(sources, oracle):
+        for d in reached:
+            if dist[d] == np.inf:
+                assert (s, d) not in table.dist and (s, d) not in table.path
+                continue
+            assert table.dist[(s, d)] == dist[d]  # bit for bit
+            path = table.path[(s, d)]
+            nodes = [s] + [edges[e][1] for e in path]
+            assert all(edges[e][0] == u for e, u in zip(path, nodes))
+            assert nodes[-1] == d and len(set(nodes)) == len(nodes)  # a simple s -> d path
+            total = 0.0
+            for e in path:
+                total += xi[e]
+            assert total == dist[d]
+            for e in path:  # the cheapest parallel edge, the lowest id among equals
+                twins = [f for f in range(len(edges)) if edges[f] == edges[e]]
+                assert e == min(twins, key=lambda f: (xi[f], f))
 
 
 def test_parse_network_file():

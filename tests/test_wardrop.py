@@ -234,6 +234,8 @@ def test_demand_spec_validation():
         DemandSpec.fixed([[-1.0]])
     with pytest.raises(MassMismatchError):
         DemandSpec.marginals([1.0], [2.0])
+    with pytest.raises(MassMismatchError):  # relative, with no absolute floor
+        DemandSpec.marginals([1e-14], [2e-14])
 
 
 def test_conservation_of_solver_output():
