@@ -120,7 +120,7 @@ def _difference_density(mu: ScalarField, nu: ScalarField, grid: Grid) -> np.ndar
     if mu.grid != grid or nu.grid != grid:
         raise ShapeMismatchError("fields live on a different grid")
     imbalance = abs(mu.total_mass - nu.total_mass)
-    if imbalance > 1e-10 * max(1.0, mu.total_mass, nu.total_mass):
+    if imbalance > 1e-10 * max(mu.total_mass, nu.total_mass):
         raise MassMismatchError(f"field masses differ by {imbalance}")
     f = (mu.values - nu.values).ravel()  # x-major, whatever the layout of the values
     return (f - f.mean()).reshape(grid.nx, grid.ny)  # exact discrete compatibility

@@ -98,11 +98,17 @@ class OTResult:
 
 def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Euclidean distances |a_i - b_j| between the rows of two point arrays;
-    InputFormatError unless the points have the same dimension."""
+    InputFormatError unless the points have the same dimension. The squares
+    are added one coordinate at a time, with no (m, n, d) temporary; up to
+    three coordinates that is the float sum of np.sum over the last axis."""
     if a.shape[1] != b.shape[1]:
         raise InputFormatError(f"point dimensions differ: {a.shape[1]} and {b.shape[1]}")
-    diff = a[:, None, :] - b[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=2))
+    sq = np.zeros((a.shape[0], b.shape[0]))
+    for k in range(a.shape[1]):
+        diff = a[:, None, k] - b[None, :, k]
+        diff *= diff
+        sq += diff
+    return np.sqrt(sq, out=sq)
 
 
 def lp_cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> np.ndarray:
@@ -440,7 +446,7 @@ def gateaux_check(mu: DiscreteMeasure, nu: DiscreteMeasure, mu1: DiscreteMeasure
     unique and the derivative formula has no well-defined value.
     """
     pts, a0, a1 = _union_support(mu, mu1)
-    if abs(a0.sum() - a1.sum()) > MASS_RTOL * max(1.0, a0.sum()):
+    if abs(a0.sum() - a1.sum()) > MASS_RTOL * max(a0.sum(), a1.sum()):
         raise MassMismatchError("mu and mu1 must carry equal mass")
     base = DiscreteMeasure(weights=a0, points=pts)
     cost = lp_cost_matrix(base, nu, p)
@@ -512,7 +518,7 @@ def hotelling_recover_prices(firm_points: np.ndarray, demands: np.ndarray,
         cost = lp_cost_matrix(firms, consumers, metric_p)
     cost = np.asarray(cost, dtype=float)
     total = consumers.total_mass
-    if abs(demands.sum() - total) > MASS_RTOL * max(1.0, total):
+    if abs(demands.sum() - total) > MASS_RTOL * max(demands.sum(), total):
         raise MassMismatchError("demands must sum to the consumer mass")
     if n_firms == 1:
         return np.zeros(1)

@@ -179,8 +179,8 @@ class GridAtomTransport:
         atom takes every cell, and the ascent returns that at once.
         """
         n = self.cost.shape[1]
-        total = float(cell_masses.sum())
-        if abs(total - float(atom_weights.sum())) > 1e-8 * max(1.0, total):
+        total, weight = float(cell_masses.sum()), float(atom_weights.sum())
+        if abs(total - weight) > 1e-8 * max(total, weight):
             raise MassMismatchError("grid and atom masses differ")
         pos = cell_masses > 0
         if n > 1 and int(pos.sum()) + n <= GRID_ATOM_EXACT_MAX_POINTS:
@@ -287,7 +287,7 @@ def eval_total(mu: ScalarField, nu, p: float, spread: SpreadSpec,
     block-aggregated to at most EXACT_OT_MAX_POINTS mass points before the
     exact transport solve). An atomic G with a non-atomic nu is infeasible.
     """
-    if abs(mu.total_mass - nu.total_mass) > 1e-8 * max(1.0, mu.total_mass):
+    if abs(mu.total_mass - nu.total_mass) > 1e-8 * max(mu.total_mass, nu.total_mass):
         raise MassMismatchError("mu and nu must carry equal mass")
     spread_val = float(grid.cell_area * np.sum(spread.f(mu.values)))
 
@@ -705,11 +705,18 @@ def minimize_with_atomic_G(p: float, spread: SpreadSpec, conc: ConcentrationSpec
     pole count, alternating the mu subproblem, pole position best responses,
     and projected-gradient pole sizes.
 
-    The loop for one pole count stops when a step fails to improve the value
-    by tol (relative). It has converged when that step moved the value by
-    less than tol, before ATOMIC_MAX_OUTER steps ran out, and every solve_p_nu
-    of the loop converged; a step that worsens the value by more overshot.
-    The result's converged is that of the chosen pole count, and
+    Each outer step of one pole count is a backtracking search along the move
+    from the best state found so far (Bertsekas, IEEE TAC 1976): the poles go
+    min(t, 1) of the way to their per-catchment best positions, and the sizes
+    take the projected step 0.1 t (g'(w) + beta), with beta the atom
+    potentials at those positions. t starts at 1. A step that beats the best
+    value by more than the band tol (1 + |value|) becomes the best state and
+    doubles t; one worse by more than the band halves t and is retried from
+    the best state, whose move is computed once, so a retry costs one
+    solve_p_nu. The loop stops at the first step within the band, and has
+    converged if that came before ATOMIC_MAX_OUTER steps ran out and every
+    solve_p_nu of the loop converged. The recorded value is the least one
+    evaluated. The result's converged is that of the chosen pole count, and
     per_k_converged holds it for every count."""
     if conc.kind != "atomic":
         raise InputFormatError("minimize_with_atomic_G needs an atomic concentration spec")
@@ -723,41 +730,42 @@ def minimize_with_atomic_G(p: float, spread: SpreadSpec, conc: ConcentrationSpec
     for k in range(1, k_max + 1):
         pts = _initial_poles(grid, k) if poles0 is None or k != len(poles0) else np.array(poles0, dtype=float)
         w = np.full(k, 1.0 / k)
-        mu = None
         best_state = None  # (value, sol, pts, w)
         converged = False
         inner_converged = True
+        t = 1.0
         for _ in range(ATOMIC_MAX_OUTER):
             nu = DiscreteMeasure(weights=w, points=pts)
             transport = GridAtomTransport(cell_pts, pts, p)
+            mu = best_state[1].mu if best_state is not None else None
             sol = solve_p_nu(nu, p, spread, grid, tol=INNER_TOL, mu0=mu, transport=transport)
             inner_converged = inner_converged and sol.converged
-            mu = sol.mu
-            masses = (mu.values * grid.cell_area).ravel()
             value = sol.value + float(np.sum(conc.g(w)))
-            prev_best = best_state[0] if best_state is not None else np.inf
-            if value <= prev_best:  # a worse step leaves the recorded best
-                best_state = (value, sol, pts.copy(), w.copy())
-            if value > prev_best - tol * (1.0 + abs(value)):
-                converged = inner_converged and value <= prev_best + tol * (1.0 + abs(value))
-                break
+            if best_state is not None:
+                if abs(value - best_state[0]) <= tol * (1.0 + abs(value)):
+                    if value < best_state[0]:
+                        best_state = (value, sol, pts, w)
+                    converged = inner_converged
+                    break
+                t = 2.0 * t if value < best_state[0] else 0.5 * t
+            if best_state is None or value < best_state[0]:
+                best_state = (value, sol, pts, w)
+                masses = (sol.mu.values * grid.cell_area).ravel()
+                # pole positions: best response within each catchment
+                targets = pts.copy()
+                for j in range(k):
+                    sel = sol.assignment == j
+                    if masses[sel].sum() > 0:
+                        targets[j] = _pole_best_position(cell_pts[sel], masses[sel], pts[j], p)
+                # pole sizes: the atom potentials are the transport-share gradient
+                _, beta, _, _ = GridAtomTransport(cell_pts, targets, p).solve(masses, w)
 
-            # pole positions: best response within each catchment
-            assign = sol.assignment
-            pts = pts.copy()
-            for j in range(k):
-                sel = assign == j
-                if not masses[sel].sum() > 0:
-                    continue
-                pts[j] = _pole_best_position(cell_pts[sel], masses[sel], pts[j], p)
-
-            # pole sizes: projected gradient with the atom potentials as the
-            # transport-share gradient
-            transport = GridAtomTransport(cell_pts, pts, p)
-            _, beta, _, _ = transport.solve(masses, w)
-            step = 0.1
-            w_new = _project_simplex(w - step * (conc.g_prime(w) + beta), 1.0)
-            w = np.maximum(w_new, 1e-9)
+            # the move from the best state; at s = 1 the poles land on the
+            # targets bit for bit
+            _, _, pts_b, w_b = best_state
+            s = min(t, 1.0)
+            pts = (1.0 - s) * pts_b + s * targets
+            w = np.maximum(_project_simplex(w_b - 0.1 * t * (conc.g_prime(w_b) + beta), 1.0), 1e-9)
             w = w / w.sum()
 
         value_k, sol, pts_k, w_k = best_state

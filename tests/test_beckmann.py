@@ -168,6 +168,17 @@ def test_dual_quadratic_mass_mismatch():
         solve_dual_quadratic(mu, bad, g)
 
 
+@pytest.mark.parametrize("total", [1e-12, 1.0, 1e12])
+def test_mass_check_is_relative(total):
+    # no absolute floor: twice the mass is refused at every scale, where a
+    # floor of one would re-balance the tiny pair in silence
+    g = Grid(nx=8, ny=8, h=0.125)
+    mu = ScalarField(np.full((8, 8), total), g)
+    nu = ScalarField(np.full((8, 8), 2.0 * total), g)
+    with pytest.raises(MassMismatchError, match="field masses differ"):
+        solve_beckmann(mu, nu, CongestionSpec.quadratic(), g)
+
+
 # ----------------------------------------------------------------- splitting
 
 

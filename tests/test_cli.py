@@ -212,6 +212,18 @@ def test_ot_mass_balance_is_relative(tmp_path, capsys):
     assert rc == 0
 
 
+def test_beckmann_mass_balance_is_relative(tmp_path, capsys):
+    from congested_transport.grids import Grid, ScalarField, save_scalar_csv
+
+    g = Grid(nx=8, ny=8, h=0.125)
+    save_scalar_csv(ScalarField(np.full((8, 8), 1e-12), g), tmp_path / "mu.csv")
+    save_scalar_csv(ScalarField(np.full((8, 8), 2e-12), g), tmp_path / "nu.csv")
+    rc = main(["beckmann", "--mu", str(tmp_path / "mu.csv"), "--nu", str(tmp_path / "nu.csv"),
+               "--H", "quadratic", "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert _one_error_line(capsys).startswith("error: field masses differ")
+
+
 def test_ot_measure_non_numeric_field(tmp_path, capsys):
     write(tmp_path / "a.pts", "point 0.0 1.0\npoint 0.5 oops\n")
     rc = main(["ot", "--mu", str(tmp_path / "a.pts"), "--nu", str(tmp_path / "a.pts"),

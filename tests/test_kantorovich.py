@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.optimize import linprog
 
 from congested_transport.errors import (
@@ -24,6 +25,7 @@ from congested_transport.kantorovich import (
     hotelling_demands,
     hotelling_recover_prices,
     lp_cost_matrix,
+    pairwise_distances,
     parse_measure,
     solve_discrete_ot,
     wasserstein_distance,
@@ -362,3 +364,32 @@ def test_solve_discrete_ot_certifies_optimality(problem):
     assert np.abs(slack[plan > 0]).max(initial=0.0) <= scale
     assert abs(res.value - res.dual_value) <= 1e-12 * (1.0 + abs(res.value))
     assert res.value == pytest.approx(_linprog_value(a, b, cost), abs=1e-9)
+
+
+@pytest.mark.parametrize("total", [1e-12, 1.0, 1e12])
+def test_gateaux_and_hotelling_mass_checks_are_relative(total):
+    # no absolute floor: twice the mass is refused at every scale, by the
+    # site's own check
+    pts = np.array([[0.0], [1.0]])
+    mu = DiscreteMeasure(weights=total * np.array([0.5, 0.5]), points=pts)
+    nu = DiscreteMeasure(weights=total * np.array([0.25, 0.75]), points=pts)
+    mu1 = DiscreteMeasure(weights=total * np.array([1.0, 1.0]), points=pts)
+    with pytest.raises(MassMismatchError, match="mu and mu1 must carry equal mass"):
+        gateaux_check(mu, nu, mu1, 2.0, [1e-3])
+    consumers = DiscreteMeasure(weights=np.full(4, 0.25 * total),
+                                points=np.linspace(0.0, 1.0, 4)[:, None])
+    with pytest.raises(MassMismatchError, match="demands must sum to the consumer mass"):
+        hotelling_recover_prices(pts, total * np.array([1.0, 1.0]), consumers)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(pair=st.integers(1, 3).flatmap(lambda d: st.tuples(*(
+    hnp.arrays(float, st.tuples(st.integers(0, 6), st.just(d)),
+               elements=st.floats(-1e6, 1e6)) for _ in range(2)))))
+def test_pairwise_distances_equals_the_broadcast_sum(pair):
+    # summed one coordinate at a time, the squares give the floats of the
+    # (m, n, d) broadcast summed over its last axis, for up to three axes
+    a, b = pair
+    diff = a[:, None, :] - b[None, :, :]
+    np.testing.assert_array_equal(pairwise_distances(a, b),
+                                  np.sqrt(np.sum(diff * diff, axis=2)))

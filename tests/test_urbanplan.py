@@ -7,6 +7,7 @@ from congested_transport.errors import (
     BisectionFailureError,
     DomainTooSmallError,
     InputFormatError,
+    MassMismatchError,
 )
 from congested_transport.grids import Grid, ScalarField
 from congested_transport import urbanplan
@@ -112,6 +113,16 @@ def test_eval_total_interaction_two_atoms():
     conc = ConcentrationSpec.quadratic_interaction(1.0)
     val = eval_total(uni, nu, 2.0, SpreadSpec.quadratic(), conc, g)
     assert val.concentration == pytest.approx(0.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("total", [1e-12, 1.0, 1e12])
+def test_eval_total_mass_check_is_relative(total):
+    # no absolute floor: twice the mass is refused at every scale
+    g = Grid(nx=8, ny=8, h=0.125)
+    mu = ScalarField(np.full((8, 8), total), g)
+    nu = ScalarField(np.full((8, 8), 2.0 * total), g)
+    with pytest.raises(MassMismatchError, match="mu and nu must carry equal mass"):
+        eval_total(mu, nu, 2.0, SpreadSpec.quadratic(), None, g)
 
 
 # ------------------------------------------------------------------ (P_nu)
@@ -277,6 +288,44 @@ def test_atomic_convergence_is_that_of_the_chosen_pole_count(monkeypatch):
     assert not res.converged
 
 
+def _count_p_nu(monkeypatch):
+    """Record the pole count, the value and the pole sizes of every
+    solve_p_nu call."""
+    calls = []
+    solve = urbanplan.solve_p_nu
+
+    def counted(nu, *args, **kwargs):
+        sol = solve(nu, *args, **kwargs)
+        calls.append((len(nu.weights), sol.value, nu.weights.copy()))
+        return sol
+
+    monkeypatch.setattr(urbanplan, "solve_p_nu", counted)
+    return calls
+
+
+def test_atomic_three_pole_loop_converges_within_twenty_solves(monkeypatch):
+    # the benchmark's p = 2 sweep, whose 3-pole loop slides toward one pole
+    # that grows and two that vanish
+    calls = _count_p_nu(monkeypatch)
+    res = minimize_with_atomic_G(2.0, SpreadSpec.quadratic(), ConcentrationSpec.atomic_power(0.5),
+                                 3, Grid(nx=32, ny=32, h=1.0 / 32), tol=1e-6)
+    assert res.per_k_converged == {1: True, 2: True, 3: True}
+    assert len(calls) <= 20
+    assert res.per_k[3] < res.per_k[2]
+
+
+def test_atomic_retry_shortens_the_pole_move(monkeypatch):
+    # at p = 1 the sizes reach a simplex vertex, where a retry that cut only
+    # the size step would repeat one state; the recorded best is the least value
+    calls = _count_p_nu(monkeypatch)
+    conc = ConcentrationSpec.atomic_power(0.5)
+    res = minimize_with_atomic_G(1.0, SpreadSpec.power(3), conc, 3,
+                                 Grid(nx=8, ny=8, h=1.0 / 8), tol=1e-6)
+    assert res.per_k_converged[3]
+    values = [value + float(np.sum(conc.g(w))) for k, value, w in calls if k == 3]
+    assert res.per_k[3] == min(values)
+
+
 def test_atomic_k_sweep_reports_all_values():
     g = Grid(nx=24, ny=24, h=1.0 / 24)
     res = minimize_with_atomic_G(2.0, SpreadSpec.quadratic(),
@@ -333,6 +382,17 @@ def test_gateaux_consistency_on_grid_measures():
 
 
 # --------------------------------------------------- grid-to-atom transport
+
+
+@pytest.mark.parametrize("total", [1e-12, 1.0, 1e12])
+def test_grid_atom_mass_check_is_relative(total):
+    # no absolute floor: at 1e-12 a floor of one sent the pair to the ascent,
+    # which returned a transport value of order 1e45
+    g = Grid(nx=32, ny=32, h=1.0 / 32)
+    transport = GridAtomTransport(g.cell_points(),
+                                  np.array([[0.2, 0.2], [0.5, 0.7], [0.8, 0.3]]), 2.0)
+    with pytest.raises(MassMismatchError, match="grid and atom masses differ"):
+        transport.solve(np.full(g.n_cells, total / g.n_cells), np.full(3, 2.0 * total / 3))
 
 
 def test_grid_atom_one_atom_is_the_cost_column():
