@@ -23,6 +23,13 @@ fixed-point residual grows, whenever rho changes and every 100 steps; the
 same case then takes 550-950 iterations, each still one Poisson solve. The
 stop test bounds the fixed-point residual, not only the change of the flow,
 so a stalled accelerated iteration does not pass for a converged one.
+
+Optimality is certified by the Fenchel dual: the sup of -<phi, mu - nu> -
+sum_c h^2 w_c H*(|z_c|_* / (h^2 w_c)) over cell potentials phi and gathered
+face fields z whose face sums R^T z are the face gradient of phi. The pair is
+read off the last ADMM multiplier by one more Poisson solve (see
+``solve_beckmann``). Its gap falls with the solver's error and vanishes when
+the flow is fixed by its divergence, as on an n-by-1 grid.
 """
 
 from __future__ import annotations
@@ -159,9 +166,9 @@ class BeckmannResult:
     converged: bool
     div_residual: float
     split_residual: float
-    dual_value: float
-    certificate_gap: float
-    multiplier: ScalarField
+    dual_value: float  # a lower bound on the optimal cost
+    certificate_gap: float  # (cost - dual_value) / |cost|
+    multiplier: ScalarField  # phi, the dual potential of div v = mu - nu
 
 
 # Anderson acceleration of the p = 1 iteration (Walker & Ni, SIAM J. Numer.
@@ -238,10 +245,16 @@ def solve_beckmann(mu: ScalarField, nu: ScalarField, spec: CongestionSpec, grid:
     ANDERSON_PERIOD steps, and each iteration still costs one Poisson solve.
     Stops when the fixed-point residual (the split residual R v - q and the
     step of q) and the change of v all fall below tol, in the max norm
-    relative to the largest face flux. The returned certificate is the
-    better Fenchel dual value of two multiplier fields: one recovered from
-    the converged subgradient, and the best multiple of the multiplier of
-    the last projection.
+    relative to the largest face flux.
+
+    The certificate is the Fenchel dual value -<phi, f> - h^2 sum_c w_c
+    H*(|z_c|_* / (h^2 w_c)) of one dual-feasible pair, R^T z = -B^T phi, read
+    off the final multiplier eta = rho lam: phi = -(BB^T)^-1 B R^T eta by one
+    Poisson solve, and z = eta - R(R^T eta + B^T phi)/2. |.|_* is the dual of
+    the cell norm, sqrt(2 sum z^2). At p = 1, H* is the indicator of
+    |z_c|_* / (h^2 w_c) <= 1 + a, and the pair is scaled onto that set. phi is
+    returned as the multiplier, pinned to 0 at cell 0. ``converged`` does not
+    depend on the certificate.
     """
     ops = _ops(grid)
     f = _difference_density(mu, nu, grid)
@@ -249,6 +262,8 @@ def solve_beckmann(mu: ScalarField, nu: ScalarField, spec: CongestionSpec, grid:
     w = np.ones(n_cells) if cell_weights is None else np.asarray(cell_weights, dtype=float).ravel()
     if w.shape != (n_cells,):
         raise ShapeMismatchError("cell_weights must have one entry per cell")
+    if not np.all(np.isfinite(w) & (w > 0)):
+        raise ShapeMismatchError("cell_weights must be finite and strictly positive")
     h2 = grid.cell_area
 
     if np.abs(f).max(initial=0.0) == 0.0:
@@ -268,16 +283,14 @@ def solve_beckmann(mu: ScalarField, nu: ScalarField, spec: CongestionSpec, grid:
 
     def project(z):
         """v-step: least squares onto {div v = f} given the gather target z,
-        written into fx, fy; returns the multiplier of div v = f."""
+        written into fx, fy."""
         ops.gather_adjoint(z, out=(rfx, rfy))
         d = ops.div(rfx, rfy)
         d -= f2
-        pi = ops.solve_poisson(d)
-        ops.div_adjoint(pi, out=(fx, fy))
+        ops.div_adjoint(ops.solve_poisson(d), out=(fx, fy))
         for face, rface in ((fx, rfx), (fy, rfy)):
             np.subtract(rface, face, out=face)
             face *= 0.5
-        return pi
 
     def iterate(x, out, tau):
         """One ADMM iteration from x = (q, lam), written into out."""
@@ -345,78 +358,30 @@ def solve_beckmann(mu: ScalarField, nu: ScalarField, spec: CongestionSpec, grid:
             anderson.next_state(state.reshape(-1), image.reshape(-1))
 
     q, lam = image
-    pi = project(q - lam)  # exact feasibility of the returned flow
+    project(q - lam)  # exact feasibility of the returned flow
     cost = float(h2 * np.dot(w, spec.H(_rms_norms(ops.gather(fx, fy)).ravel())))
 
-    # multiplier field from the converged subgradient s_c = h^2 w g(m) q_c/(2m)
-    m_q = _rms_norms(q).ravel()
-    gm = spec.g(m_q)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        coef = np.where(m_q > 0, h2 * w * gm / (2.0 * np.maximum(m_q, 1e-300)), 0.0)
-    s = q * coef.reshape(grid.nx, grid.ny)
-    y = ops.solve_poisson(ops.div(*ops.gather_adjoint(s)))
-    dual = max(_dual_value(ops, spec, y, f, w, h2), _best_multiple_dual(ops, spec, pi, f, w, h2))
+    # the multiplier eta of R v = q is a subgradient of the objective at q, so
+    # (phi, z) fitted to it is near the dual optimum; R^T R = 2I on interior
+    # faces makes R^T z = -B^T phi hold exactly
+    eta = rho * lam
+    rx, ry = ops.gather_adjoint(eta)
+    phi = ops.solve_poisson(-ops.div(rx, ry))
+    bx, by = ops.div_adjoint(phi)
+    z = eta - 0.5 * ops.gather(rx + bx, ry + by)
+    s = 2.0 * _rms_norms(z).ravel() / (h2 * w)  # |z_c|_* / (h^2 w_c), the dual norm
+    dual = -float(np.dot(phi.ravel(), f.ravel()))
+    if spec.p == 1.0:
+        # H* is the indicator of s <= 1 + a: scale (phi, z) onto its domain
+        dual /= max(1.0, float(s.max(initial=0.0)) / (1.0 + spec.a))
+    else:
+        dual -= h2 * float(np.dot(w, spec.conjugate(s)))
     cert_gap = (cost - dual) / max(abs(cost), 1e-300)
 
     vf = VectorField(fx, fy, grid)
     div_res = float(np.abs(ops.div(fx, fy) - f).max(initial=0.0))
     return BeckmannResult(vf, cost, it, converged, div_res, split_res, dual, cert_gap,
-                          ScalarField(y, grid))
-
-
-def _conjugate_args(ops, y: np.ndarray, w: np.ndarray, h2: float) -> np.ndarray:
-    """|gathered B^T y|_w / (h^2 w_c) per cell: where H* is taken in the dual."""
-    return _rms_norms(ops.gather(*ops.div_adjoint(y))).ravel() / (h2 * w)
-
-
-def _dual_value(ops, spec: CongestionSpec, y: np.ndarray, f: np.ndarray,
-                w: np.ndarray, h2: float) -> float:
-    """Fenchel lower bound <y, f> - h^2 sum_c w_c H*(|gathered grad y|_w / (h^2 w_c))."""
-    arg = _conjugate_args(ops, y, w, h2)
-    y = y.ravel()
-    f = f.ravel()
-    if spec.p == 1.0:
-        # bounded conjugate domain arg <= 1 + a: shrink y onto it so the bound stays finite
-        amax = float(arg.max(initial=0.0))
-        if amax > 1.0 + spec.a:
-            y = y / (amax / (1.0 + spec.a))
-        return float(np.dot(y, f))
-    conj = spec.conjugate(arg)
-    return float(np.dot(y, f) - h2 * np.dot(w, conj))
-
-
-def _best_multiple_dual(ops, spec: CongestionSpec, y: np.ndarray, f: np.ndarray,
-                        w: np.ndarray, h2: float) -> float:
-    """max over t of the Fenchel lower bound at t y.
-
-    With A = |<y, f>| and s the conjugate arguments of y, the bound at
-    t = sign(<y, f>) tau is phi(tau) = tau A - h^2 sum_c w_c H*(tau s_c), concave
-    in tau >= 0. For p = 1, H* is the indicator of s <= 1 + a, so tau is the
-    largest step that stays in its domain. For p > 1, phi' = A - h^2 sum_c
-    w_c s_c ((tau s_c - a)_+)^(q-1) falls with tau; its root is bracketed and
-    bisected to 1e-9 relative, and phi at the lower end, where phi' > 0, is
-    the bound.
-    """
-    A = abs(float(np.dot(y.ravel(), f.ravel())))
-    s = _conjugate_args(ops, y, w, h2)
-    smax = float(s.max(initial=0.0))
-    if A == 0.0 or smax == 0.0:
-        return 0.0
-    if spec.p == 1.0:
-        return A * ((1.0 + spec.a) / smax)
-    q = spec.p / (spec.p - 1.0)
-    ws = h2 * w * s
-
-    def slope(tau):
-        return A - float(np.sum(ws * np.maximum(tau * s - spec.a, 0.0) ** (q - 1.0)))
-
-    lo, hi = 0.0, (1.0 + spec.a) / smax
-    while slope(hi) > 0.0 and hi < np.inf:
-        lo, hi = hi, 2.0 * hi
-    while hi - lo > 1e-9 * hi:
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if slope(mid) > 0.0 else (lo, mid)
-    return lo * A - h2 * float(np.dot(w, spec.conjugate(lo * s)))
+                          ScalarField(phi, grid))
 
 
 # ---------------------------------------------------------------------------

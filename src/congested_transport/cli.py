@@ -436,6 +436,12 @@ def _cmd_selftest(args) -> int:
     resb = solve_beckmann(grids.ScalarField(a, g1), grids.ScalarField(b, g1),
                           congestion.CongestionSpec.quadratic(), g1, tol=1e-10)
     check("one-dimensional flow", float(np.abs(resb.v.vx.ravel() - vx).max()) < 1e-8)
+    # at p = 1 too, and the divergence fixes the flow, so the certificate is tight
+    resb = solve_beckmann(grids.ScalarField(a, g1), grids.ScalarField(b, g1),
+                          congestion.CongestionSpec.monomial(1.0), g1)
+    check("one-dimensional W1 flow and certificate",
+          float(np.abs(resb.v.vx.ravel() - vx).max()) < 1e-8
+          and abs(resb.certificate_gap) <= 1e-12)
 
     # hotelling price recovery on the analytic split instance
     grid_pts = np.linspace(0.0, 1.0, 401)[:, None]

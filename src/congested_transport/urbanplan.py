@@ -713,11 +713,12 @@ def minimize_with_atomic_G(p: float, spread: SpreadSpec, conc: ConcentrationSpec
     value by more than the band tol (1 + |value|) becomes the best state and
     doubles t; one worse by more than the band halves t and is retried from
     the best state, whose move is computed once, so a retry costs one
-    solve_p_nu. The loop stops at the first step within the band, and has
-    converged if that came before ATOMIC_MAX_OUTER steps ran out and every
-    solve_p_nu of the loop converged. The recorded value is the least one
-    evaluated. The result's converged is that of the chosen pole count, and
-    per_k_converged holds it for every count."""
+    solve_p_nu, or none when it repeats the last state evaluated. The loop
+    stops at the first step within the band, and has converged if that came
+    before ATOMIC_MAX_OUTER steps ran out and every solve_p_nu of the loop
+    converged. The recorded value is the least one evaluated. The result's
+    converged is that of the chosen pole count, and per_k_converged holds it
+    for every count."""
     if conc.kind != "atomic":
         raise InputFormatError("minimize_with_atomic_G needs an atomic concentration spec")
     if k_max < 1:
@@ -731,14 +732,22 @@ def minimize_with_atomic_G(p: float, spread: SpreadSpec, conc: ConcentrationSpec
         pts = _initial_poles(grid, k) if poles0 is None or k != len(poles0) else np.array(poles0, dtype=float)
         w = np.full(k, 1.0 / k)
         best_state = None  # (value, sol, pts, w)
+        last = None  # (pts, w, mu0, sol) of the last solve_p_nu
         converged = False
         inner_converged = True
         t = 1.0
         for _ in range(ATOMIC_MAX_OUTER):
-            nu = DiscreteMeasure(weights=w, points=pts)
-            transport = GridAtomTransport(cell_pts, pts, p)
             mu = best_state[1].mu if best_state is not None else None
-            sol = solve_p_nu(nu, p, spread, grid, tol=INNER_TOL, mu0=mu, transport=transport)
+            if (last is not None and last[2] is mu and np.array_equal(last[0], pts)
+                    and np.array_equal(last[1], w)):
+                # a retry that repeats the last state, from the same warm start:
+                # solve_p_nu would return the same bits
+                sol = last[3]
+            else:
+                nu = DiscreteMeasure(weights=w, points=pts)
+                transport = GridAtomTransport(cell_pts, pts, p)
+                sol = solve_p_nu(nu, p, spread, grid, tol=INNER_TOL, mu0=mu, transport=transport)
+                last = (pts, w, mu, sol)
             inner_converged = inner_converged and sol.converged
             value = sol.value + float(np.sum(conc.g(w)))
             if best_state is not None:

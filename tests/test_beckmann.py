@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from congested_transport.beckmann import (
     _Anderson,
@@ -16,7 +18,11 @@ from congested_transport.beckmann import (
     weighted_beckmann_duality_check,
 )
 from congested_transport.congestion import CongestionSpec
-from congested_transport.errors import MassMismatchError, PointOutsideDomainError
+from congested_transport.errors import (
+    MassMismatchError,
+    PointOutsideDomainError,
+    ShapeMismatchError,
+)
 from congested_transport.grids import Grid, ScalarField, VectorField
 from congested_transport.kantorovich import DiscreteMeasure, lp_cost_matrix, solve_discrete_ot
 
@@ -200,6 +206,45 @@ def test_beckmann_one_dimensional_oracle():
     assert res.cost == pytest.approx(oracle_cost, rel=1e-12)
 
 
+@pytest.mark.parametrize("p", [1.0, 3.0])
+def test_beckmann_one_dimensional_certificate_is_tight(p):
+    # on an n-by-1 grid the divergence fixes the flow, so the dual read off
+    # the multiplier meets the cost up to rounding
+    g = Grid(nx=16, ny=1, h=1.0 / 16)
+    mu, nu = random_densities(g, 3)
+    res = solve_beckmann(mu, nu, CongestionSpec.monomial(p), g)
+    assert res.converged
+    assert np.abs(res.v.vx.ravel() - cumulative_oracle(g, mu, nu)).max() <= 1e-12
+    assert abs(res.certificate_gap) <= 1e-12
+    assert res.multiplier.values[0, 0] == 0.0
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(n=st.integers(2, 12), square=st.booleans(), p=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+       a=st.sampled_from([0.0, 0.5]), weighted=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_beckmann_certificate_is_a_tight_lower_bound(n, square, p, a, weighted, seed):
+    # at tol 1e-6 the worst gap of these examples is 2.8e-5 at p = 1 (12^2,
+    # a = 0.5, weighted) and 3.4e-8 above it (10^2, p = 3, weighted)
+    g = Grid(nx=n, ny=n if square else 1, h=1.0 / n)
+    mu, nu = random_densities(g, seed)
+    w = np.random.default_rng(seed).uniform(0.5, 2.0, g.n_cells) if weighted else None
+    res = solve_beckmann(mu, nu, CongestionSpec.affine_power(a, p), g, cell_weights=w)
+    assert res.converged
+    assert res.dual_value <= res.cost * (1.0 + 1e-12)
+    assert res.certificate_gap <= (1e-3 if p == 1.0 else 1e-4)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+def test_beckmann_rejects_cell_weights_that_are_not_finite_and_positive(bad):
+    g = Grid(nx=4, ny=4, h=0.25)
+    mu, nu = random_densities(g, 1)
+    w = np.ones(g.n_cells)
+    w[5] = bad
+    for target in (nu, mu):  # equal measures too, which need no iteration
+        with pytest.raises(ShapeMismatchError, match="finite and strictly positive"):
+            solve_beckmann(mu, target, CongestionSpec.monomial(1.0), g, cell_weights=w)
+
+
 def test_beckmann_quadratic_matches_poisson():
     for n in (16, 32):
         g = Grid(nx=n, ny=n, h=1.0 / n)
@@ -231,7 +276,7 @@ def test_beckmann_p1_two_blobs_within_default_budget():
     assert res.cost == pytest.approx(0.2314187103341352, rel=1e-6)  # plain ADMM's value
     assert res.div_residual <= 1e-10
     assert res.dual_value <= res.cost
-    assert res.certificate_gap <= 0.013
+    assert res.certificate_gap <= 1e-3
 
 
 def test_beckmann_p1_stops_only_at_a_small_fixed_point_residual():

@@ -326,6 +326,26 @@ def test_atomic_retry_shortens_the_pole_move(monkeypatch):
     assert res.per_k[3] == min(values)
 
 
+def test_atomic_retry_that_repeats_the_last_state_reuses_its_solve(monkeypatch):
+    # while t >= 2 a halving can repeat the rejected state bit for bit; 8 of
+    # this sweep's 25 solves did, and the values are those of the 25
+    states = []
+    solve = urbanplan.solve_p_nu
+
+    def counted(nu, *args, **kwargs):
+        states.append((nu.points.copy(), nu.weights.copy()))
+        return solve(nu, *args, **kwargs)
+
+    monkeypatch.setattr(urbanplan, "solve_p_nu", counted)
+    res = minimize_with_atomic_G(1.0, SpreadSpec.power(3), ConcentrationSpec.atomic_power(0.5), 3,
+                                 Grid(nx=8, ny=8, h=1.0 / 8), tol=1e-6)
+    assert len(states) == 17
+    assert not any(np.array_equal(p0, p1) and np.array_equal(w0, w1)
+                   for (p0, w0), (p1, w1) in zip(states, states[1:]))
+    assert res.per_k == pytest.approx(
+        {1: 1.7089624801133672, 2: 2.037463418659966, 3: 1.7090383954986992}, rel=1e-12)
+
+
 def test_atomic_k_sweep_reports_all_values():
     g = Grid(nx=24, ny=24, h=1.0 / 24)
     res = minimize_with_atomic_G(2.0, SpreadSpec.quadratic(),
