@@ -47,7 +47,8 @@ class DegenerateDualError(CongestedTransportError):
 
 
 class DecompositionFailureError(CongestedTransportError):
-    """Flow peeling left more residual flow than the tolerance allows."""
+    """Flow peeling left more residual flow than the tolerance allows, or the
+    path-flow reference program failed or missed its equalities."""
 
 
 class ShapeMismatchError(CongestedTransportError):

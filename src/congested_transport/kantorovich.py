@@ -174,14 +174,7 @@ def solve_discrete_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, cost) -> OTResul
     u = cost.min(axis=1).astype(float)
     v = (cost - u[:, None]).min(axis=0)
 
-    if n == 1:
-        plan[:, 0] = a
-        it = 1
-    elif m == 1:
-        plan[0, :] = b
-        it = 1
-    else:
-        it = _ssp(cost, a, b, plan, u, v, tol)
+    it = _ssp(cost, a, b, plan, u, v, tol)
 
     # zero-mass nodes carry no constraints; tighten them onto the c-transform
     dead_src = mu.weights <= 0

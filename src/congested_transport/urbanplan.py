@@ -562,7 +562,6 @@ def solve_quadratic_city(lam: float, grid: Grid, tol: float = 1e-5,
     converged = False
     inner_converged = True
     last_sol = None
-    step_damp = 1.0
 
     beta_prev = None
     it = 0
@@ -597,7 +596,8 @@ def solve_quadratic_city(lam: float, grid: Grid, tol: float = 1e-5,
         keep = load > 0
         bxy = np.column_stack([sums_x, sums_y])[keep] / np.maximum(load[keep], 1e-300)[:, None]
         target = (bxy + 2.0 * lam * bary) / (1.0 + 2.0 * lam)
-        atom_pts = atom_pts[keep] + step_damp * (target - atom_pts[keep])
+        # x + (t - x), not t: the rounding that the city artifacts record
+        atom_pts = atom_pts[keep] + (target - atom_pts[keep])
         atom_w = load[keep] / load[keep].sum()
         if beta_prev is not None:
             beta_prev = beta_prev[keep]

@@ -1,6 +1,7 @@
 """Congested traffic assignment on networks: minimize sum_e H(i_e) over
 routings of the demand, certify the equilibrium property of the result, and
-provide independent brute-force oracles.
+provide an independent reference: one SLSQP solve over explicit path flows
+for both demand kinds (brute_force_equilibrium).
 
 The solver is simplicial decomposition in link-flow space (von Hohenbalken,
 Math. Prog. 1977; Hearn, Lawphongpanich & Ventura, Math. Prog. Study 1987).
@@ -26,7 +27,7 @@ from .errors import (
     NegativeFlowError,
     UnreachableError,
 )
-from .kantorovich import DiscreteMeasure, _project_simplex, solve_discrete_ot
+from .kantorovich import DiscreteMeasure, OTResult, solve_discrete_ot
 from .network import Network, _search, enumerate_paths, path_cost, shortest_distances
 
 GAP_DENOM_FLOOR = 1e-12
@@ -37,9 +38,6 @@ ARMIJO_STEPS = 40  # step halvings before the line search gives up
 ROUNDING = 8 * np.finfo(float).eps  # relative change of the value that is rounding
 WEIGHT_FLOOR = 1e-14  # a weight this small counts as zero when a step pushes it down
 CURVATURE_FLOOR = 1e-10  # share of the largest flow under which the master takes H'' at that share
-ORACLE_MAX_ITER = 20000  # projected-gradient steps of the fixed-demand oracle
-ORACLE_GAP_TOL = 1e-9  # its relative path-space Frank-Wolfe gap at which it stops
-GRID_SEARCH_ROUNDS = 4  # refinements of the oracle's nested grid search
 
 
 @dataclass
@@ -139,6 +137,26 @@ def _route(net: Network, table, gamma: np.ndarray) -> np.ndarray:
         for e in table.witness(si, di):
             flows[e] += mass
     return np.array(flows)
+
+
+def _optimal_coupling(net: Network, dmat: np.ndarray, mu, nu) -> OTResult:
+    """Exact transport of mu onto nu for the shortest distances dmat (sources
+    by destinations). An unreachable pair (inf) is priced at
+    M = 2 (n_s + n_d) d_max + 1, with d_max the largest finite distance: an
+    augmenting path through it then costs more than any path of reachable
+    pairs, so the successive-shortest-path solver takes one only when no
+    other is left. A finite matrix is passed on unchanged. Raises
+    UnreachableError when the plan puts mass on an unreachable pair."""
+    finite = np.isfinite(dmat)
+    cost = dmat
+    if not finite.all():
+        cost = np.where(finite, dmat, 2 * sum(dmat.shape) * dmat[finite].max(initial=0.0) + 1.0)
+    res = solve_discrete_ot(DiscreteMeasure(weights=mu), DiscreteMeasure(weights=nu), cost)
+    stuck = np.argwhere(~finite & (res.coupling.plan > 0))
+    if len(stuck):
+        si, di = stuck[0]
+        raise UnreachableError(net.sources[si], net.dests[di])
+    return res
 
 
 def _curvature(costs: EdgeCosts, flows: np.ndarray) -> np.ndarray:
@@ -268,12 +286,7 @@ def _simplicial_decomposition(net, spec, demand, tol, max_iter):
         if demand.kind == "fixed":
             gamma = gamma_fixed
         else:
-            finite = np.isfinite(dmat)
-            if not finite.all():
-                raise InputFormatError("some origin-destination pair is unreachable")
-            mu = DiscreteMeasure(weights=demand.mu)
-            nu = DiscreteMeasure(weights=demand.nu)
-            gamma = solve_discrete_ot(mu, nu, dmat).coupling.plan
+            gamma = _optimal_coupling(net, dmat, demand.mu, demand.nu).coupling.plan
         lp_value = float(np.sum(dmat[gamma > 0] * gamma[gamma > 0]))
         return _route(net, table, gamma), gamma, lp_value
 
@@ -426,182 +439,75 @@ def verify_wardrop(net: Network, result: EquilibriumResult,
     return WardropReport(max_excess=float(max_excess), worst_pair=worst, path_flows=path_flows)
 
 
-def brute_force_equilibrium(net: Network, spec, demand: DemandSpec,
-                            grid_steps: int = 21) -> EquilibriumResult:
+def brute_force_equilibrium(net: Network, spec, demand: DemandSpec) -> EquilibriumResult:
     """Independent oracle: minimize sum_e H over explicit path flows.
 
-    Fixed demand uses projected gradient descent on the product of scaled
-    simplices (with a nested grid search refinement when at most 3 free
-    dimensions remain); marginal demand solves the same convex program over
-    the path polytope with an SLSQP solve. Quality is certified by the
-    resulting duality gap.
+    Every simple path (at most 50) carries a flow q_k >= 0, and one SLSQP
+    solve minimizes sum_e H((inc q)_e) subject to A_eq q = b. Fixed demand
+    has one row per origin-destination pair with a path. Marginals have the
+    source sums and the destination sums, less the last destination sum and
+    any other row that a rank-revealing QR finds dependent (where
+    reachability splits the pairs into components). The start spreads each
+    pair's mass, gamma or mu nu^T / total, evenly over its paths.
+
+    Raises UnreachableError when a pair with positive fixed demand has no
+    path, and DecompositionFailureError when SLSQP reports failure or its
+    point misses any equality by more than 1e-9 of the total. The gap is
+    that of the returned flows against shortest distances, as in the solver.
     """
+    from scipy.linalg import qr
+    from scipy.optimize import minimize
+
     costs = as_edge_costs(spec, net.n_edges)
-    paths = enumerate_paths(net, cap=50)
-    if demand.kind == "fixed":
-        gamma = demand.gamma
-    s_index = {s: i for i, s in enumerate(net.sources)}
-    d_index = {d: i for i, d in enumerate(net.dests)}
-
-    groups: dict[tuple[int, int], list[int]] = {}
-    plist: list[tuple[int, int, tuple[int, ...]]] = []
-    for (s, d, p) in paths.paths:
-        k = len(plist)
-        plist.append((s, d, p))
-        groups.setdefault((s, d), []).append(k)
-
-    n_paths = len(plist)
-    inc = np.zeros((net.n_edges, n_paths))
-    for k, (_, _, p) in enumerate(plist):
-        for e in p:
-            inc[e, k] = 1.0
-
-    def flows_of(q):
-        return inc @ q
-
-    def total_cost(q):
-        return float(np.sum(costs.H(flows_of(q))))
-
-    def grad(q):
-        return inc.T @ costs.g(flows_of(q))
+    paths = enumerate_paths(net, cap=50).paths
+    n_s, n_d = len(net.sources), len(net.dests)
+    src = np.array([net.sources.index(s) for s, _, _ in paths], dtype=int)
+    dst = np.array([net.dests.index(d) for _, d, _ in paths], dtype=int)
+    cell = src * n_d + dst  # the flattened pair of each path
+    count = np.bincount(cell, minlength=n_s * n_d)
+    inc = np.zeros((net.n_edges, len(paths)))
+    for k, (_, _, p) in enumerate(paths):
+        inc[list(p), k] = 1.0
 
     if demand.kind == "fixed":
-        q = np.zeros(n_paths)
-        active_groups = []
-        for (s, d), idxs in groups.items():
-            mass = gamma[s_index[s], d_index[d]]
-            if mass <= 0:
-                continue
-            active_groups.append((idxs, mass))
-            q[idxs[0]] = mass
-
-        free_dims = sum(len(idxs) - 1 for idxs, _ in active_groups)
-        if free_dims and free_dims <= 3 and grid_steps >= 2:
-            q = _nested_grid_search(q, active_groups, total_cost, grid_steps)
-        q = _projected_gradient(q, active_groups, total_cost, grad)
-
+        stuck = np.argwhere((demand.gamma > 0) & (count.reshape(n_s, n_d) == 0))
+        if len(stuck):
+            raise UnreachableError(net.sources[stuck[0][0]], net.dests[stuck[0][1]])
+        start, rows = demand.gamma, np.unique(cell)
+        a_eq = (cell == rows[:, None]).astype(float)
+        b_eq = start.ravel()[rows]
+        keep = slice(None)
     else:
-        q = _marginal_oracle(plist, groups, s_index, d_index, demand, total_cost, grad, n_paths)
+        start = np.outer(demand.mu, demand.nu) / (demand.mu.sum() or 1.0)
+        a_eq = np.vstack([src == np.arange(n_s)[:, None], dst == np.arange(n_d)[:, None]]).astype(float)
+        b_eq = np.concatenate([demand.mu, demand.nu])
+        _, r, piv = qr(a_eq[:-1].T, mode="economic", pivoting=True)
+        diag = np.abs(np.diag(r))
+        keep = np.sort(piv[:np.count_nonzero(diag > 1e-9 * diag.max(initial=0.0))])
 
-    flows = flows_of(q)
+    res = minimize(
+        lambda q: float(np.sum(costs.H(inc @ q))),
+        start.ravel()[cell] / count[cell],
+        jac=lambda q: inc.T @ costs.g(inc @ q),
+        bounds=[(0.0, None)] * len(paths),
+        constraints=[{"type": "eq", "fun": lambda q: a_eq[keep] @ q - b_eq[keep],
+                      "jac": lambda q: a_eq[keep]}],
+        method="SLSQP",
+        options={"maxiter": 500, "ftol": 1e-14},
+    )
+    q = np.maximum(res.x, 0.0)
+    residual = float(np.abs(a_eq @ q - b_eq).max(initial=0.0))
+    if not res.success or residual > 1e-9 * start.sum():
+        raise DecompositionFailureError(f"path-flow program: {res.message}; "
+                                        f"equality residual {residual:.3g}")
+
+    flows = inc @ q
     xi = costs.g(flows)
-    coupling = np.zeros((len(net.sources), len(net.dests)))
-    for k, (s, d, _) in enumerate(plist):
-        coupling[s_index[s], d_index[d]] += q[k]
+    coupling = np.bincount(cell, weights=q, minlength=n_s * n_d).reshape(n_s, n_d)
     dmat = shortest_distances(net, xi).matrix
     if demand.kind == "fixed":
         lp = float(np.sum(dmat[coupling > 0] * coupling[coupling > 0]))
     else:
-        lp = solve_discrete_ot(DiscreteMeasure(weights=demand.mu),
-                               DiscreteMeasure(weights=demand.nu), dmat).value
+        lp = _optimal_coupling(net, dmat, demand.mu, demand.nu).value
     gap = (float(np.dot(xi, flows)) - lp) / max(lp, GAP_DENOM_FLOOR)
-    return EquilibriumResult(flows, coupling, xi, total_cost(q), gap, 0, True)
-
-
-def _nested_grid_search(q0, active_groups, total_cost, grid_steps):
-    """Refined grid sweep over the (<= 3) free simplex coordinates."""
-    import itertools
-
-    # free coordinates: all but the first path of each group
-    free: list[tuple[int, int, float]] = []  # (path index, group id, mass)
-    for gi, (idxs, mass) in enumerate(active_groups):
-        for k in idxs[1:]:
-            free.append((k, gi, mass))
-
-    def assemble(vals):
-        q = np.zeros_like(q0)
-        used = {}
-        for (k, gi, mass), v in zip(free, vals):
-            q[k] = v
-            used[gi] = used.get(gi, 0.0) + v
-        ok = True
-        for gi, (idxs, mass) in enumerate(active_groups):
-            lead = mass - used.get(gi, 0.0)
-            if lead < -1e-12:
-                ok = False
-                break
-            q[idxs[0]] = max(lead, 0.0)
-        return q if ok else None
-
-    centers = [0.5 * m for (_, _, m) in free]
-    radii = [0.5 * m for (_, _, m) in free]
-    best_q, best_v = None, np.inf
-    for _ in range(GRID_SEARCH_ROUNDS):
-        axes = [np.linspace(c - r, c + r, grid_steps) for c, r in zip(centers, radii)]
-        axes = [np.clip(ax, 0.0, free[i][2]) for i, ax in enumerate(axes)]
-        for vals in itertools.product(*axes):
-            q = assemble(vals)
-            if q is None:
-                continue
-            v = total_cost(q)
-            if v < best_v:
-                best_v, best_q = v, q
-                centers = list(vals)
-        radii = [2.2 * r / max(grid_steps - 1, 1) for r in radii]
-    return best_q if best_q is not None else q0
-
-
-def _projected_gradient(q, active_groups, total_cost, grad):
-    step = 1.0
-    value = total_cost(q)
-    for _ in range(ORACLE_MAX_ITER):
-        g = grad(q)
-        # Frank-Wolfe gap in path space certifies optimality group by group
-        gap = 0.0
-        for idxs, mass in active_groups:
-            gi = g[idxs]
-            gap += float(np.dot(gi, q[idxs]) - mass * gi.min())
-        if gap <= ORACLE_GAP_TOL * (1.0 + abs(value)):
-            break
-        while True:
-            q_new = q.copy()
-            for idxs, mass in active_groups:
-                q_new[idxs] = _project_simplex(q[idxs] - step * g[idxs], mass)
-            v_new = total_cost(q_new)
-            if v_new <= value + 1e-15:
-                break
-            step *= 0.5
-            if step < 1e-16:
-                q_new, v_new = q, value
-                break
-        q, value = q_new, v_new
-        step *= 1.3
-    return q
-
-
-def _marginal_oracle(plist, groups, s_index, d_index, demand, total_cost, grad, n_paths):
-    from scipy.optimize import minimize
-
-    n_s = len(s_index)
-    n_d = len(d_index)
-    a_eq = np.zeros((n_s + n_d, n_paths))
-    for k, (s, d, _) in enumerate(plist):
-        a_eq[s_index[s], k] = 1.0
-        a_eq[n_s + d_index[d], k] = 1.0
-    b_eq = np.concatenate([demand.mu, demand.nu])
-
-    q0 = np.zeros(n_paths)
-    # feasible start: greedy transport of mu onto nu along the first path of each pair
-    mu_rem = demand.mu.copy()
-    nu_rem = demand.nu.copy()
-    for (s, d), idxs in sorted(groups.items()):
-        si, di = s_index[s], d_index[d]
-        move = min(mu_rem[si], nu_rem[di])
-        if move > 0:
-            q0[idxs[0]] += move
-            mu_rem[si] -= move
-            nu_rem[di] -= move
-    if mu_rem.sum() > 1e-9 * max(1.0, demand.mu.sum()):
-        raise InputFormatError("no feasible path routing for the given marginals")
-
-    res = minimize(
-        total_cost,
-        q0,
-        jac=lambda q: np.asarray(grad(q), dtype=float),
-        bounds=[(0.0, None)] * n_paths,
-        constraints=[{"type": "eq", "fun": lambda q: a_eq @ q - b_eq,
-                      "jac": lambda q: a_eq}],
-        method="SLSQP",
-        options={"maxiter": 500, "ftol": 1e-14},
-    )
-    return np.maximum(res.x, 0.0)
+    return EquilibriumResult(flows, coupling, xi, float(np.sum(costs.H(flows))), gap, res.nit)

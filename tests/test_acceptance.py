@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from congested_transport import urbanplan
 from congested_transport.beckmann import (
     cloud_to_field,
     field_w1,
@@ -135,13 +136,16 @@ def test_criterion_01_equilibrium_certificates(solved_suite):
 
 def test_criterion_02_brute_force_equivalence(solved_suite):
     solved, _ = solved_suite
-    worst = 0.0
+    worst = worst_gap = 0.0
     for name, net, spec, gamma, res, rep in solved:
         orc = brute_force_equilibrium(net, spec, DemandSpec.fixed(gamma))
         diff = abs(res.objective - orc.objective) / (1.0 + abs(res.objective))
         assert diff <= 1e-5, (name, diff)
+        assert orc.relative_gap <= 1e-7, (name, orc.relative_gap)
         worst = max(worst, diff)
-    _report("C2 brute-force equivalence", f"worst |dJ|/(1+J) = {worst:.2e} <= 1e-5")
+        worst_gap = max(worst_gap, orc.relative_gap)
+    _report("C2 brute-force equivalence", f"worst |dJ|/(1+J) = {worst:.2e} <= 1e-5, "
+            f"worst oracle gap {worst_gap:.2e} <= 1e-7")
 
 
 def test_criterion_03_variable_demand_kantorovich():
@@ -345,10 +349,21 @@ def test_criterion_09_gateaux_derivative():
             f"10 non-degenerate instances, worst scaled error {worst:.2e} <= 1e-3")
 
 
-def test_criterion_10_quadratic_city_closed_form():
+def test_criterion_10_quadratic_city_closed_form(monkeypatch):
     t0 = time.time()
+    inner = []  # iteration counts of the 96^2 solve's solve_p_nu calls
+    solve_p_nu = urbanplan.solve_p_nu
+
+    def counted(*args, **kwargs):
+        sol = solve_p_nu(*args, **kwargs)
+        inner.append(sol.iterations)
+        return sol
+
     g = Grid(nx=96, ny=96, h=3.0 / 96)
+    monkeypatch.setattr(urbanplan, "solve_p_nu", counted)
     res = solve_quadratic_city(1.0, g, tol=1e-6, n_atom_side=12)
+    monkeypatch.undo()
+    capped = sum(n == urbanplan.P_NU_MAX_ITER for n in inner)
     prof = quadratic_city_profile(g, 1.0)
     l1 = float(g.cell_area * np.abs(res.mu.values - prof.values).sum())
     assert l1 <= 0.05
@@ -372,7 +387,9 @@ def test_criterion_10_quadratic_city_closed_form():
     assert elapsed <= 120.0
     _report("C10 quadratic city closed form",
             f"L1 {l1:.4f} <= 0.05 (48^2: {l1_48:.4f}); barycenter gap {bary_gap:.1e} <= h; "
-            f"moment ratio {ratio:.4f} vs {target:.4f} (10%); {elapsed:.1f}s <= 120s")
+            f"moment ratio {ratio:.4f} vs {target:.4f} (10%); converged {res.converged}, "
+            f"{capped} of {len(inner)} inner solves at {urbanplan.P_NU_MAX_ITER} passes; "
+            f"{elapsed:.1f}s <= 120s")
 
 
 def test_criterion_11_hotelling_round_trip():

@@ -52,6 +52,24 @@ def test_wardrop_marginal_demand(two_route):
     assert report_of(out)["results"]["demand_kind"] == "marginals"
 
 
+@pytest.mark.parametrize("edges, rc", [("edge a c\nedge a d\nedge b c\n", 0),
+                                       ("edge a c\nedge a d\n", 1)],
+                         ids=["one-pair-unreachable", "source-reaches-nothing"])
+def test_wardrop_marginals_with_unreachable_pairs(tmp_path, capsys, edges, rc):
+    # with edge b c the routing a -> d, b -> c is feasible; without it the
+    # mass of b reaches no destination
+    write(tmp_path / "n.net", "nodes 4\n" + edges + "source a\nsource b\ndest c\ndest d\n")
+    write(tmp_path / "d.dem", "mu a 1\nmu b 1\nnu c 1\nnu d 1\n")
+    out = tmp_path / "run"
+    assert main(["wardrop", "--net", str(tmp_path / "n.net"), "--demand", str(tmp_path / "d.dem"),
+                 "--out", str(out)]) == rc
+    if rc == 0:
+        assert np.array_equal(np.loadtxt(out / "coupling.csv", delimiter=",", ndmin=2),
+                              [[0.0, 1.0], [1.0, 0.0]])
+    else:
+        assert capsys.readouterr().err.startswith("error: destination")
+
+
 def test_ot_command(tmp_path):
     write(tmp_path / "a.pts", "point 0.0 1.0\n")
     write(tmp_path / "b.pts", "point 1.0 1.0\n")

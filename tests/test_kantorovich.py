@@ -293,6 +293,23 @@ def test_accepted_imbalance_is_solved(m, n, excess):
     assert abs(res.value - res.dual_value) <= 1e-9
 
 
+@pytest.mark.parametrize("m, n", [(1, 1), (1, 6), (6, 1), (1, 40), (40, 1)])
+def test_one_point_measure_is_routed_by_the_start(m, n):
+    # the tight-arc start routes a one-row or one-column problem whole, so no
+    # augmentation runs and iterations, which counts them, is 0
+    rng = np.random.default_rng(m + 100 * n)
+    a, b = rng.random(m), rng.random(n)
+    b *= a.sum() / b.sum()
+    mu, nu = DiscreteMeasure(weights=a), DiscreteMeasure(weights=b)
+    cost = rng.random((m, n)) * 10.0
+    res = solve_discrete_ot(mu, nu, cost)
+    assert res.iterations == 0
+    assert check_coupling(res.coupling, mu, nu) <= 1e-15 * a.sum()
+    feas, slack = check_potentials(res.potentials, res.coupling, cost)
+    assert feas <= 1e-14 and slack <= 1e-14
+    assert abs(res.value - res.dual_value) <= 1e-14 * res.value
+
+
 def test_ssp_excess_supply_has_no_augmenting_path():
     cost = np.array([[0.0, 1.0], [1.0, 0.0]])
     u = cost.min(axis=1)

@@ -20,6 +20,7 @@ from congested_transport.wardrop import (
     verify_conservation,
     verify_wardrop,
 )
+from test_acceptance import network_suite
 
 QUAD = CongestionSpec.quadratic()
 LIN = CongestionSpec.monomial(1.0)
@@ -217,6 +218,82 @@ def test_brute_force_marginals():
     res = solve_variable_demand(net, specs, [0.5, 0.5], [0.5, 0.5], tol=1e-8)
     orc = brute_force_equilibrium(net, specs, DemandSpec.marginals([0.5, 0.5], [0.5, 0.5]))
     assert abs(res.objective - orc.objective) <= 1e-5 * (1 + res.objective)
+
+
+def unreachable_pair_net():
+    # source 0 reaches both destinations, source 1 only destination 2
+    return Network(n_nodes=4, edges=[(0, 2), (0, 3), (1, 2)], sources=[0, 1], dests=[2, 3])
+
+
+def test_marginals_with_an_unreachable_pair():
+    # the routing 0 -> 3, 1 -> 2 is the only feasible one
+    net = unreachable_pair_net()
+    res = solve_variable_demand(net, QUAD, [1.0, 1.0], [1.0, 1.0], tol=1e-10)
+    assert res.converged
+    assert np.array_equal(res.coupling, [[0.0, 1.0], [1.0, 0.0]])
+    assert np.allclose(res.flows, [0.0, 1.0, 1.0])
+    orc = brute_force_equilibrium(net, QUAD, DemandSpec.marginals([1.0, 1.0], [1.0, 1.0]))
+    assert abs(res.objective - orc.objective) <= 1e-12
+    assert np.allclose(orc.coupling, res.coupling, atol=1e-12)
+
+
+def test_marginal_mass_that_reaches_no_destination_is_unreachable():
+    from congested_transport.errors import DecompositionFailureError, UnreachableError
+
+    net = Network(n_nodes=4, edges=[(0, 2), (0, 3)], sources=[0, 1], dests=[2, 3])
+    with pytest.raises(UnreachableError):
+        solve_variable_demand(net, QUAD, [1.0, 1.0], [1.0, 1.0])
+    with pytest.raises(DecompositionFailureError, match="equality residual"):
+        brute_force_equilibrium(net, QUAD, DemandSpec.marginals([1.0, 1.0], [1.0, 1.0]))
+
+
+def test_brute_force_refuses_a_demand_with_no_path():
+    from congested_transport.errors import UnreachableError
+
+    gamma = [[0.0, 0.0], [0.0, 1.0]]  # source 1 has no path to destination 3
+    with pytest.raises(UnreachableError) as err:
+        brute_force_equilibrium(unreachable_pair_net(), QUAD, DemandSpec.fixed(gamma))
+    assert (err.value.source, err.value.dest) == (1, 3)
+
+
+_SUITE = network_suite()
+
+
+@st.composite
+def _suite_demands(draw):
+    """One of the ten networks of criteria 1 and 2 with a random fixed
+    demand or random marginals (entries in [0.3, 1) times 1, 2 or 3)."""
+    _, net, spec, _ = draw(st.sampled_from(_SUITE))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_s, n_d = len(net.sources), len(net.dests)
+    scale = draw(st.sampled_from([1.0, 2.0, 3.0]))
+    if draw(st.booleans()):
+        return net, spec, DemandSpec.fixed(scale * rng.uniform(0.3, 1.0, (n_s, n_d)))
+    mu, nu = scale * rng.uniform(0.3, 1.0, n_s), rng.uniform(0.3, 1.0, n_d)
+    return net, spec, DemandSpec.marginals(mu, nu * (mu.sum() / nu.sum()))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(problem=_suite_demands())
+def test_brute_force_matches_simplicial_decomposition(problem):
+    """The path-flow oracle meets its equalities within 1e-9 of the total,
+    certifies itself by a gap of at most 1e-6, and agrees with simplicial
+    decomposition at tol 1e-10 within 1e-6 (1 + J)."""
+    net, spec, demand = problem
+    orc = brute_force_equilibrium(net, spec, demand)
+    if demand.kind == "fixed":
+        res = solve_fixed_demand(net, spec, demand.gamma, tol=1e-10)
+        total = demand.gamma.sum()
+        residual = np.abs(orc.coupling - demand.gamma).max()
+    else:
+        res = solve_variable_demand(net, spec, demand.mu, demand.nu, tol=1e-10)
+        total = demand.mu.sum()
+        residual = max(np.abs(orc.coupling.sum(axis=1) - demand.mu).max(),
+                       np.abs(orc.coupling.sum(axis=0) - demand.nu).max())
+    assert residual <= 1e-9 * total
+    assert res.converged
+    assert orc.relative_gap <= 1e-6
+    assert abs(res.objective - orc.objective) <= 1e-6 * (1.0 + abs(res.objective))
 
 
 def test_monomial_flows_scale_with_demand():
