@@ -387,44 +387,43 @@ def solve_beckmann(mu: ScalarField, nu: ScalarField, spec: CongestionSpec, grid:
 # ---------------------------------------------------------------------------
 # Rasterization of couplings into transport densities and flux fields.
 
-def _segment_pieces(p0, p1, grid: Grid):
-    """Split segment [p0, p1] at grid lines; yields (ix, iy, length) pieces."""
-    p0 = np.asarray(p0, dtype=float)
-    p1 = np.asarray(p1, dtype=float)
-    d = p1 - p0
-    seg_len = float(np.hypot(d[0], d[1]))
-    if seg_len == 0.0:
-        return []
-    ts = [0.0, 1.0]
-    for axis, n_lines in ((0, grid.nx), (1, grid.ny)):
-        if d[axis] == 0.0:
-            continue
-        for k in range(1, n_lines):
-            t = (k * grid.h - p0[axis]) / d[axis]
-            if 0.0 < t < 1.0:
-                ts.append(t)
-    ts = sorted(set(ts))
-    pieces = []
-    for ta, tb in zip(ts[:-1], ts[1:]):
-        if tb - ta <= 1e-15:
-            continue
-        mid = p0 + 0.5 * (ta + tb) * d
-        ix, iy = grid.cell_of(mid[0], mid[1])
-        pieces.append((ix, iy, seg_len * (tb - ta)))
-    return pieces
-
-
-def _as_plan(coupling) -> np.ndarray:
-    if isinstance(coupling, Coupling):
-        return coupling.plan
-    return np.asarray(coupling, dtype=float)
-
-
 def _check_points_inside(pts, grid: Grid, name: str):
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if not grid.contains(pts).all():
         raise PointOutsideDomainError(f"{name} points outside the grid domain")
     return pts
+
+
+def _segment_pieces(coupling, src_pts, dst_pts, grid: Grid):
+    """Walk the support of a coupling: split the segment of each entry with
+    positive mass at the grid lines, and yield (mass, unit direction, ix, iy,
+    length) for each piece, where (ix, iy) is the cell holding its midpoint.
+    Zero-length segments have no pieces."""
+    plan = coupling.plan if isinstance(coupling, Coupling) else np.asarray(coupling, dtype=float)
+    src_pts = _check_points_inside(src_pts, grid, "source")
+    dst_pts = _check_points_inside(dst_pts, grid, "destination")
+    for i, j in zip(*np.nonzero(plan > 0)):
+        p0 = src_pts[i]
+        d = dst_pts[j] - p0
+        seg_len = float(np.hypot(d[0], d[1]))
+        if seg_len == 0.0:
+            continue
+        ts = [0.0, 1.0]
+        for axis, n_lines in ((0, grid.nx), (1, grid.ny)):
+            if d[axis] == 0.0:
+                continue
+            for k in range(1, n_lines):
+                t = (k * grid.h - p0[axis]) / d[axis]
+                if 0.0 < t < 1.0:
+                    ts.append(t)
+        ts = sorted(set(ts))
+        u = d / seg_len
+        for ta, tb in zip(ts[:-1], ts[1:]):
+            if tb - ta <= 1e-15:
+                continue
+            mid = p0 + 0.5 * (ta + tb) * d
+            ix, iy = grid.cell_of(mid[0], mid[1])
+            yield plan[i, j], u, ix, iy, seg_len * (tb - ta)
 
 
 def rasterize_transport_density(coupling, src_pts, dst_pts, grid: Grid) -> ScalarField:
@@ -433,15 +432,9 @@ def rasterize_transport_density(coupling, src_pts, dst_pts, grid: Grid) -> Scala
 
     The resulting total mass h^2 * sum equals sum_{x,y} plan(x,y) |x-y|.
     """
-    plan = _as_plan(coupling)
-    src_pts = _check_points_inside(src_pts, grid, "source")
-    dst_pts = _check_points_inside(dst_pts, grid, "destination")
     vals = np.zeros((grid.nx, grid.ny))
-    ii, jj = np.nonzero(plan > 0)
-    for i, j in zip(ii, jj):
-        mass = plan[i, j]
-        for ix, iy, ln in _segment_pieces(src_pts[i], dst_pts[j], grid):
-            vals[ix, iy] += mass * ln / grid.cell_area
+    for mass, _, ix, iy, ln in _segment_pieces(coupling, src_pts, dst_pts, grid):
+        vals[ix, iy] += mass * ln / grid.cell_area
     return ScalarField(vals, grid)
 
 
@@ -450,31 +443,20 @@ def rasterize_v_gamma(coupling, src_pts, dst_pts, grid: Grid) -> VectorField:
     mass * direction * length, halved onto the two faces of its cell per axis.
     Halves aimed at a boundary face are dropped, which keeps the no-flux
     invariant exactly and preserves the face bound |v| <= averaged density."""
-    plan = _as_plan(coupling)
-    src_pts = _check_points_inside(src_pts, grid, "source")
-    dst_pts = _check_points_inside(dst_pts, grid, "destination")
     nx, ny = grid.nx, grid.ny
     vx = np.zeros((nx + 1, ny))
     vy = np.zeros((nx, ny + 1))
-    ii, jj = np.nonzero(plan > 0)
-    for i, j in zip(ii, jj):
-        mass = plan[i, j]
-        d = dst_pts[j] - src_pts[i]
-        seg_len = float(np.hypot(d[0], d[1]))
-        if seg_len == 0.0:
-            continue
-        u = d / seg_len
-        for ix, iy, ln in _segment_pieces(src_pts[i], dst_pts[j], grid):
-            amt_x = 0.5 * mass * u[0] * ln / grid.cell_area
-            amt_y = 0.5 * mass * u[1] * ln / grid.cell_area
-            if ix > 0:
-                vx[ix, iy] += amt_x
-            if ix + 1 < nx:
-                vx[ix + 1, iy] += amt_x
-            if iy > 0:
-                vy[ix, iy] += amt_y
-            if iy + 1 < ny:
-                vy[ix, iy + 1] += amt_y
+    for mass, u, ix, iy, ln in _segment_pieces(coupling, src_pts, dst_pts, grid):
+        amt_x = 0.5 * mass * u[0] * ln / grid.cell_area
+        amt_y = 0.5 * mass * u[1] * ln / grid.cell_area
+        if ix > 0:
+            vx[ix, iy] += amt_x
+        if ix + 1 < nx:
+            vx[ix + 1, iy] += amt_x
+        if iy > 0:
+            vy[ix, iy] += amt_y
+        if iy + 1 < ny:
+            vy[ix, iy + 1] += amt_y
     return VectorField(vx, vy, grid)
 
 
@@ -573,12 +555,10 @@ def _bilinear(values: np.ndarray, grid: Grid, pts: np.ndarray) -> np.ndarray:
     nx, ny = values.shape
     gx = np.clip(pts[:, 0] / grid.h - 0.5, 0.0, nx - 1.0)
     gy = np.clip(pts[:, 1] / grid.h - 0.5, 0.0, ny - 1.0)
-    ix = np.minimum(gx.astype(np.int64), nx - 2) if nx > 1 else np.zeros(len(pts), dtype=np.int64)
+    ix = np.minimum(gx.astype(np.int64), nx - 2)  # a Grid has nx >= 2
     iy = np.minimum(gy.astype(np.int64), ny - 2) if ny > 1 else np.zeros(len(pts), dtype=np.int64)
     fx = gx - ix
     fy = gy - iy
-    if nx == 1:
-        fx = np.zeros_like(fx)
     if ny == 1:
         fy = np.zeros_like(fy)
     ix1 = np.minimum(ix + 1, nx - 1)

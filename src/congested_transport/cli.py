@@ -146,11 +146,7 @@ def _cmd_wardrop(args) -> int:
 
 def _load_cost(args, mu, nu):
     if args.cost:
-        try:
-            cost = np.loadtxt(args.cost, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise InputFormatError(f"{args.cost}: not a numeric CSV matrix ({exc})") from None
-        return cost, {"cost": args.cost}
+        return grids._load_table(args.cost), {"cost": args.cost}
     return kantorovich.lp_cost_matrix(mu, nu, args.metric_p), {}
 
 

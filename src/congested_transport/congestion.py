@@ -188,8 +188,4 @@ class EdgeCosts:
 
 
 def as_edge_costs(spec, n_edges: int) -> EdgeCosts:
-    if isinstance(spec, EdgeCosts):
-        if spec.n_edges != n_edges:
-            raise CongestedTransportError("edge cost vector length mismatch")
-        return spec
     return EdgeCosts(spec, n_edges)

@@ -14,12 +14,15 @@ class SelfLoopError(CongestedTransportError):
 
 
 class UnreachableError(CongestedTransportError):
-    """A destination cannot be reached from any source."""
+    """A destination cannot be reached from a source. ``source`` and ``dest``
+    are node ids; the message names them by ``labels`` when given."""
 
-    def __init__(self, source, dest, message=None):
+    def __init__(self, source, dest, labels=None):
         self.source = source
         self.dest = dest
-        super().__init__(message or f"destination {dest} unreachable from source {source}")
+        if labels:
+            source, dest = labels[source], labels[dest]
+        super().__init__(f"destination {dest} unreachable from source {source}")
 
 
 class NegativeMetricError(CongestedTransportError):

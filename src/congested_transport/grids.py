@@ -204,7 +204,7 @@ def _load_table(path: Path) -> np.ndarray:
             warnings.simplefilter("error", UserWarning)  # loadtxt warns on a file with no data
             return np.loadtxt(path, delimiter=",", ndmin=2)
     except (ValueError, UserWarning) as exc:
-        raise InputFormatError(f"{path}: not a CSV table of numbers ({exc})") from None
+        raise InputFormatError(f"{path}: not a numeric CSV matrix ({exc})") from None
 
 
 def _write_sidecar(path: Path, grid: Grid) -> None:

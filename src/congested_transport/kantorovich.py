@@ -10,7 +10,8 @@ compiled Dijkstra (scipy.sparse.csgraph), stopped at a distance that the
 target sink lies within. The solver maintains dual feasibility and
 complementary slackness throughout, so the returned potentials certify
 optimality by strong duality. scipy.sparse is imported on first use, so
-importing the package does not load it.
+importing the package does not load it. Hotelling demands and prices are
+taken for the cost |x - y|^p between firm and consumer coordinates.
 """
 
 from __future__ import annotations
@@ -367,39 +368,21 @@ def wasserstein_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> 
 
 
 def _union_support(mu: DiscreteMeasure, mu1: DiscreteMeasure):
-    """Common point list carrying both weight vectors (zero-padded)."""
+    """Common point list, in order of first appearance, carrying both weight
+    vectors (zero-padded); a repeated point's weights are summed in order."""
     if mu.points is None or mu1.points is None:
         raise InputFormatError("gateaux check requires point coordinates")
-    d = mu.points.shape[1]
-    if mu1.points.shape[1] != d:
+    if mu1.points.shape[1] != mu.points.shape[1]:
         raise InputFormatError("point dimensions differ")
-    index: dict[bytes, int] = {}
-    pts: list[np.ndarray] = []
-
-    def key(row):
-        return np.ascontiguousarray(row).tobytes()
-
-    def intern(row):
-        k = key(row)
-        if k not in index:
-            index[k] = len(pts)
-            pts.append(row)
-        return index[k]
-
-    w0 = {}
-    for row, w in zip(mu.points, mu.weights):
-        w0[intern(row)] = w0.get(intern(row), 0.0) + w
-    w1 = {}
-    for row, w in zip(mu1.points, mu1.weights):
-        w1[intern(row)] = w1.get(intern(row), 0.0) + w
-    pts_arr = np.vstack(pts)
-    a0 = np.zeros(len(pts))
-    a1 = np.zeros(len(pts))
-    for i, w in w0.items():
-        a0[i] = w
-    for i, w in w1.items():
-        a1[i] = w
-    return pts_arr, a0, a1
+    pts = np.concatenate([mu.points, mu1.points])
+    _, first, inverse = np.unique(pts, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # np.unique sorts the rows; renumber them by first appearance
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    slot = rank[inverse.reshape(-1)]
+    a0 = np.bincount(slot[:mu.n], weights=mu.weights, minlength=order.size)
+    a1 = np.bincount(slot[mu.n:], weights=mu1.weights, minlength=order.size)
+    return pts[first[order]], a0, a1
 
 
 def _support_connected(plan: np.ndarray, a: np.ndarray, b: np.ndarray) -> bool:
@@ -464,7 +447,7 @@ def gateaux_check(mu: DiscreteMeasure, nu: DiscreteMeasure, mu1: DiscreteMeasure
 
 
 def hotelling_demands(firm_points: np.ndarray, prices: np.ndarray,
-                      consumers: DiscreteMeasure, cost=None, metric_p: float = 1.0):
+                      consumers: DiscreteMeasure, metric_p: float = 1.0):
     """Assign each consumer to the firm minimizing access cost plus price.
 
     Ties go to the lowest firm index. Returns (assignment, demands) where
@@ -476,12 +459,8 @@ def hotelling_demands(firm_points: np.ndarray, prices: np.ndarray,
     n_firms = firm_points.shape[0]
     if prices.shape != (n_firms,):
         raise InputFormatError("one price per firm required")
-    if cost is None:
-        firms = DiscreteMeasure(weights=np.ones(n_firms), points=firm_points)
-        cost = lp_cost_matrix(firms, consumers, metric_p)
-    cost = np.asarray(cost, dtype=float)
-    if cost.shape != (n_firms, consumers.n):
-        raise InputFormatError(f"cost shape {cost.shape} != ({n_firms}, {consumers.n})")
+    firms = DiscreteMeasure(weights=np.ones(n_firms), points=firm_points)
+    cost = lp_cost_matrix(firms, consumers, metric_p)
     if not np.all(np.isfinite(cost)):
         raise NonFiniteCostError("cost matrix has non-finite entries")
     score = cost + prices[:, None]
@@ -492,7 +471,7 @@ def hotelling_demands(firm_points: np.ndarray, prices: np.ndarray,
 
 
 def hotelling_recover_prices(firm_points: np.ndarray, demands: np.ndarray,
-                             consumers: DiscreteMeasure, cost=None, metric_p: float = 1.0) -> np.ndarray:
+                             consumers: DiscreteMeasure, metric_p: float = 1.0) -> np.ndarray:
     """Recover prices (up to a constant, firm 0 pinned to 0) from demands.
 
     The price vector is a dual potential of the transport from the firm
@@ -507,14 +486,10 @@ def hotelling_recover_prices(firm_points: np.ndarray, demands: np.ndarray,
     demands = np.asarray(demands, dtype=float)
     n_firms = firm_points.shape[0]
     firms = DiscreteMeasure(weights=demands, points=firm_points)
-    if cost is None:
-        cost = lp_cost_matrix(firms, consumers, metric_p)
-    cost = np.asarray(cost, dtype=float)
+    cost = lp_cost_matrix(firms, consumers, metric_p)
     total = consumers.total_mass
     if abs(demands.sum() - total) > MASS_RTOL * max(demands.sum(), total):
         raise MassMismatchError("demands must sum to the consumer mass")
-    if n_firms == 1:
-        return np.zeros(1)
 
     res = solve_discrete_ot(firms, consumers, cost)
     plan = res.coupling.plan

@@ -10,8 +10,9 @@ search; a path whose sum is infinite counts as no path. The witness path of a
 pair is its path in csgraph's shortest-path tree, where a node keeps the first
 predecessor that reached its final distance. Among equal-cost paths it is
 deterministic for a given scipy, like the BLAS note in the README, but it is
-not the lexicographically least edge sequence. scipy is imported on first use,
-so importing the package does not load it.
+not the lexicographically least edge sequence. validate_network checks
+reachability by the same search at the zero metric. scipy is imported on
+first use, so importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -77,7 +78,8 @@ def validate_network(net: Network) -> None:
     Raises:
         DanglingEdgeError: an edge endpoint is not a valid node id.
         SelfLoopError: an edge has tail == head.
-        UnreachableError: some destination is unreachable from every source.
+        UnreachableError: some destination is unreachable from every source,
+            as shortest_distances at the zero metric finds it.
     """
     n = net.n_nodes
     if n < 1:
@@ -92,21 +94,7 @@ def validate_network(net: Network) -> None:
             raise DanglingEdgeError(f"edge {eid} references node outside 0..{n - 1}")
         if tail == head:
             raise SelfLoopError(f"edge {eid} is a self-loop at node {tail}")
-    # BFS reachability from the source set
-    adj = net.out_edges()
-    seen = [False] * n
-    stack = list(dict.fromkeys(net.sources))
-    for s in stack:
-        seen[s] = True
-    while stack:
-        u = stack.pop()
-        for _, v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                stack.append(v)
-    for d in net.dests:
-        if not seen[d]:
-            raise UnreachableError(net.sources[0], d)
+    shortest_distances(net, np.zeros(net.n_edges))  # raises for an unreachable destination
 
 
 def _check_metric(net: Network, xi: np.ndarray) -> np.ndarray:
@@ -253,7 +241,7 @@ def shortest_distances(net: Network, xi: np.ndarray) -> ShortestPathTable:
     table = _search(net, xi, net.sources, net.dests)
     reached = np.isfinite(table.matrix).any(axis=0)
     if not reached.all():
-        raise UnreachableError(net.sources[0], net.dests[int(np.argmin(reached))])
+        raise UnreachableError(net.sources[0], net.dests[int(np.argmin(reached))], net.labels)
     return table
 
 

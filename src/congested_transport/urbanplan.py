@@ -12,10 +12,12 @@ transport potentials between the grid and the atoms are Kantorovich duals:
 computed by the exact transport solver at small sizes and by warm-started
 ascent on the atom potentials (with the grid side eliminated by c-transform)
 at grid scale, whose value is the dual objective at the returned potentials,
-a lower bound on the transport cost. Each ascent evaluation recomputes the
-reduced-cost argmin only on the cells whose stored best-to-second-best gap
-(with a rounding margin) the step may have closed, in the manner of Elkan's
-bound-pruned k-means (ICML 2003), so it returns the dense argmin's floats.
+a lower bound on the transport cost. solve_p_nu builds this transport for
+each solve; beta0= warm-starts its atom potentials and CitySolution.beta
+returns them. Each ascent evaluation recomputes the reduced-cost argmin
+only on the cells whose stored best-to-second-best gap (with a rounding
+margin) the step may have closed, in the manner of Elkan's bound-pruned
+k-means (ICML 2003), so it returns the dense argmin's floats.
 The level C is the float-exact root of a monotone mass, found by regula
 falsi and finished to adjacent floats, so it does not depend on the search
 path; the pole search evaluates each golden-section probe once.
@@ -356,6 +358,7 @@ class CitySolution:
     residual: float = 0.0
     assignment: np.ndarray | None = None
     transport_value: float = 0.0
+    beta: np.ndarray | None = None  # the atom potentials of the final transport solve
 
 
 def _mass_for_level(level, psi, spread, cell_area):
@@ -423,18 +426,22 @@ def _solve_level(psi, spread, cell_area, target):
 
 def solve_p_nu(nu: DiscreteMeasure, p: float, spread: SpreadSpec, grid: Grid,
                tol: float = 1e-6, mu0: ScalarField | None = None,
-               transport: GridAtomTransport | None = None) -> CitySolution:
+               beta0: np.ndarray | None = None) -> CitySolution:
     """Minimize W_p^p(mu, nu) + integral f(u) over densities mu = u of unit
     mass, by the damped fixed point of the optimality characterization
     u = (f')^{-1}((C - psi)_+) with psi the mu-side transport potential
     (extended everywhere by c-transform) and C the mass multiplier.
+
+    mu0 warm-starts the density and beta0 (one value per atom) the atom
+    potentials of the grid-to-atom transport; the solution's beta holds
+    the atom potentials at the returned density.
     """
     total = nu.total_mass
     if abs(total - 1.0) > 1e-8:
         raise MassMismatchError("target measure must be a probability")
-    cell_pts = grid.cell_points()
-    if transport is None:
-        transport = GridAtomTransport(cell_pts, nu.points, p)
+    transport = GridAtomTransport(grid.cell_points(), nu.points, p)
+    if beta0 is not None:
+        transport.beta = np.array(beta0, dtype=float)
     u = (mu0.values.ravel() if mu0 is not None else
          np.full(grid.n_cells, 1.0 / (grid.n_cells * grid.cell_area)))
 
@@ -475,6 +482,7 @@ def solve_p_nu(nu: DiscreteMeasure, p: float, spread: SpreadSpec, grid: Grid,
         residual=resid,
         assignment=assign,
         transport_value=t_value,
+        beta=beta,
     )
 
 
@@ -563,16 +571,11 @@ def solve_quadratic_city(lam: float, grid: Grid, tol: float = 1e-5,
     inner_converged = True
     last_sol = None
 
-    beta_prev = None
+    beta = None
     it = 0
     for it in range(1, QUADRATIC_CITY_MAX_ITER + 1):
         nu = DiscreteMeasure(weights=atom_w, points=atom_pts)
-        transport = GridAtomTransport(cell_pts, atom_pts, 2.0)
-        if beta_prev is not None and beta_prev.shape == transport.beta.shape:
-            transport.beta = beta_prev.copy()
-        sol = solve_p_nu(nu, 2.0, spread, grid, tol=INNER_TOL, mu0=mu,
-                         transport=transport)
-        beta_prev = transport.beta.copy()
+        sol = solve_p_nu(nu, 2.0, spread, grid, tol=INNER_TOL, mu0=mu, beta0=beta)
         inner_converged = inner_converged and sol.converged
         mu = sol.mu
         masses = (mu.values * grid.cell_area).ravel()
@@ -599,8 +602,7 @@ def solve_quadratic_city(lam: float, grid: Grid, tol: float = 1e-5,
         # x + (t - x), not t: the rounding that the city artifacts record
         atom_pts = atom_pts[keep] + (target - atom_pts[keep])
         atom_w = load[keep] / load[keep].sum()
-        if beta_prev is not None:
-            beta_prev = beta_prev[keep]
+        beta = sol.beta[keep]  # the surviving atoms' potentials warm-start the next solve
 
     sol, pts, w = last_sol
     return QuadraticCityResult(
@@ -744,9 +746,8 @@ def minimize_with_atomic_G(p: float, spread: SpreadSpec, conc: ConcentrationSpec
                 # solve_p_nu would return the same bits
                 sol = last[3]
             else:
-                nu = DiscreteMeasure(weights=w, points=pts)
-                transport = GridAtomTransport(cell_pts, pts, p)
-                sol = solve_p_nu(nu, p, spread, grid, tol=INNER_TOL, mu0=mu, transport=transport)
+                sol = solve_p_nu(DiscreteMeasure(weights=w, points=pts), p, spread, grid,
+                                 tol=INNER_TOL, mu0=mu)
                 last = (pts, w, mu, sol)
             inner_converged = inner_converged and sol.converged
             value = sol.value + float(np.sum(conc.g(w)))

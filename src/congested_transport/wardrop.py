@@ -131,7 +131,7 @@ def _route(net: Network, table, gamma: np.ndarray) -> np.ndarray:
     stuck = np.argwhere(used & np.isinf(table.matrix))
     if len(stuck):
         si, di = stuck[0]
-        raise UnreachableError(net.sources[si], net.dests[di])
+        raise UnreachableError(net.sources[si], net.dests[di], net.labels)
     flows = [0.0] * net.n_edges
     for (si, di), mass in zip(np.argwhere(used).tolist(), gamma[used].tolist()):
         for e in table.witness(si, di):
@@ -155,7 +155,7 @@ def _optimal_coupling(net: Network, dmat: np.ndarray, mu, nu) -> OTResult:
     stuck = np.argwhere(~finite & (res.coupling.plan > 0))
     if len(stuck):
         si, di = stuck[0]
-        raise UnreachableError(net.sources[si], net.dests[di])
+        raise UnreachableError(net.sources[si], net.dests[di], net.labels)
     return res
 
 
@@ -264,20 +264,6 @@ def _simplicial_decomposition(net, spec, demand, tol, max_iter):
     if not bounded:
         raise InputFormatError(f"demand total {total!r} overflows the edge costs: "
                                f"H or t H'(t) summed over all edges at that flow is not finite")
-
-    if total <= 0:
-        zero = np.zeros(net.n_edges)
-        return EquilibriumResult(
-            flows=zero,
-            coupling=np.zeros((n_s, n_d)),
-            xi=costs.g(zero),
-            objective=0.0,
-            relative_gap=0.0,
-            iterations=0,
-            converged=True,
-            objective_history=[0.0],
-            gap_history=[0.0],
-        )
 
     def direction_vertex(xi):
         """Best all-or-nothing vertex at metric xi plus the linearized value."""
@@ -472,7 +458,7 @@ def brute_force_equilibrium(net: Network, spec, demand: DemandSpec) -> Equilibri
     if demand.kind == "fixed":
         stuck = np.argwhere((demand.gamma > 0) & (count.reshape(n_s, n_d) == 0))
         if len(stuck):
-            raise UnreachableError(net.sources[stuck[0][0]], net.dests[stuck[0][1]])
+            raise UnreachableError(net.sources[stuck[0][0]], net.dests[stuck[0][1]], net.labels)
         start, rows = demand.gamma, np.unique(cell)
         a_eq = (cell == rows[:, None]).astype(float)
         b_eq = start.ravel()[rows]

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +69,24 @@ def test_wardrop_marginals_with_unreachable_pairs(tmp_path, capsys, edges, rc):
                               [[0.0, 1.0], [1.0, 0.0]])
     else:
         assert capsys.readouterr().err.startswith("error: destination")
+
+
+NET_B_REACHES_NOTHING = "nodes 4\nedge a c\nedge a d\nsource a\nsource b\ndest c\ndest d\n"
+
+
+@pytest.mark.parametrize("net, demand, message", [
+    (NET_B_REACHES_NOTHING, "mu a 1\nmu b 1\nnu c 1\nnu d 1\n",
+     "destination d unreachable from source b"),
+    (NET_B_REACHES_NOTHING, "demand b d 1\n", "destination d unreachable from source b"),
+    ("nodes 3\nedge a b\nsource a\ndest b\ndest c\n", "demand a b 1\n",
+     "destination c unreachable from source a"),
+], ids=["marginals", "fixed-demand", "no-source-reaches-c"])
+def test_unreachable_error_names_node_labels(tmp_path, capsys, net, demand, message):
+    write(tmp_path / "n.net", net)
+    write(tmp_path / "d.dem", demand)
+    assert main(["wardrop", "--net", str(tmp_path / "n.net"), "--demand", str(tmp_path / "d.dem"),
+                 "--out", str(tmp_path / "run")]) == 1
+    assert _one_error_line(capsys) == f"error: {message}\n"
 
 
 def test_ot_command(tmp_path):
@@ -286,6 +305,33 @@ def test_ot_cost_not_numeric(tmp_path, capsys):
     write(tmp_path / "cost.csv", "0,1\n1,zero\n")
     rc = main(["ot", "--mu", str(tmp_path / "a.pts"), "--nu", str(tmp_path / "a.pts"),
                "--cost", str(tmp_path / "cost.csv"), "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert _one_error_line(capsys).startswith(
+        f"error: {tmp_path / 'cost.csv'}: not a numeric CSV matrix")
+
+
+def test_ot_explicit_cost(tmp_path):
+    write(tmp_path / "a.pts", "point 0 0.5\npoint 1 0.5\n")
+    write(tmp_path / "b.pts", "point 0 0.25\npoint 1 0.75\n")
+    write(tmp_path / "cost.csv", "0,2\n3,1\n")
+    out = tmp_path / "run"
+    rc = main(["ot", "--mu", str(tmp_path / "a.pts"), "--nu", str(tmp_path / "b.pts"),
+               "--cost", str(tmp_path / "cost.csv"), "--out", str(out)])
+    assert rc == 0
+    rep = report_of(out)
+    assert rep["results"]["value"] == 1.0  # 0.25 at cost 0, 0.25 at 2, 0.5 at 1
+    assert set(rep["inputs"]) == {"mu", "nu", "cost"}
+    assert np.array_equal(np.loadtxt(out / "coupling.csv", delimiter=",", ndmin=2),
+                          [[0.25, 0.25], [0.0, 0.5]])
+
+
+def test_ot_empty_cost_file_is_one_error_line(tmp_path, capsys):
+    write(tmp_path / "a.pts", "point 0.0 1.0\npoint 1.0 0.0\n")
+    write(tmp_path / "cost.csv", "")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's loadtxt warning must not reach stderr
+        rc = main(["ot", "--mu", str(tmp_path / "a.pts"), "--nu", str(tmp_path / "a.pts"),
+                   "--cost", str(tmp_path / "cost.csv"), "--out", str(tmp_path / "run")])
     assert rc == 1
     assert _one_error_line(capsys).startswith(
         f"error: {tmp_path / 'cost.csv'}: not a numeric CSV matrix")

@@ -267,7 +267,19 @@ def test_overflowing_costs_are_a_cost_error_without_warnings():
         with pytest.raises(NonFiniteCostError):
             solve_discrete_ot(m, m, cost)
         with pytest.raises(NonFiniteCostError):
-            hotelling_demands(m.points[:1], np.zeros(1), m, cost=cost[:1])
+            hotelling_demands(m.points[:1], np.zeros(1), m, metric_p=1.0)
+
+
+@pytest.mark.parametrize("m", [2, 0])
+def test_zero_mass_transport(m):
+    # nothing moves; the target potential is the column minimum of the cost
+    cost = np.arange(3.0 * m).reshape(m, 3)
+    res = solve_discrete_ot(DiscreteMeasure(weights=np.zeros(m)),
+                            DiscreteMeasure(weights=np.zeros(3)), cost)
+    assert np.array_equal(res.coupling.plan, np.zeros((m, 3)))
+    assert np.array_equal(res.potentials.phi, np.zeros(m))
+    assert np.array_equal(res.potentials.psi, cost.min(axis=0) if m else np.zeros(3))
+    assert (res.value, res.dual_value, res.iterations) == (0.0, 0.0, 0)
 
 
 @pytest.mark.parametrize("total", [1e-14, 1.0, 1e12])

@@ -115,6 +115,34 @@ def test_eval_total_interaction_two_atoms():
     assert val.concentration == pytest.approx(0.5, rel=1e-12)
 
 
+def test_eval_total_atomic_concentration_on_atoms():
+    g = Grid(nx=8, ny=8, h=0.125)
+    uni = ScalarField.constant(g, 1.0)
+    nu = DiscreteMeasure(weights=np.array([0.25, 0.75]), points=np.array([[0.3, 0.3], [0.7, 0.6]]))
+    val = eval_total(uni, nu, 2.0, SpreadSpec.quadratic(), ConcentrationSpec.atomic_power(0.5), g)
+    assert not val.infeasible
+    assert val.concentration == float(np.sqrt(0.25) + np.sqrt(0.75))
+    assert val.total == val.transport + val.spread + val.concentration
+
+
+def test_eval_total_aggregates_a_large_grid_in_blocks():
+    # 32^2 cells exceed EXACT_OT_MAX_POINTS, so the density is summed over
+    # 2x2 blocks: W_2^2 to the center is that of the 16^2 block centers,
+    # (1/6)(1 - 1/16^2), not the (1/6)(1 - 1/32^2) of the cell centers
+    assert 32 * 32 > urbanplan.EXACT_OT_MAX_POINTS >= 16 * 16
+    g = Grid(nx=32, ny=32, h=1.0 / 32)
+    center = DiscreteMeasure(weights=np.ones(1), points=np.array([[0.5, 0.5]]))
+    val = eval_total(ScalarField.constant(g, 1.0), center, 2.0, SpreadSpec.quadratic(), None, g)
+    assert val.transport == pytest.approx((1.0 - 1.0 / 256) / 6.0, rel=1e-12)
+
+
+def test_eval_total_refuses_a_grid_that_blocks_do_not_tile():
+    g = Grid(nx=27, ny=27, h=1.0 / 27)  # 729 cells: 2x2 blocks do not tile 27
+    center = DiscreteMeasure(weights=np.ones(1), points=np.array([[0.5, 0.5]]))
+    with pytest.raises(InputFormatError, match="block-aggregatable"):
+        eval_total(ScalarField.constant(g, 1.0), center, 2.0, SpreadSpec.quadratic(), None, g)
+
+
 @pytest.mark.parametrize("total", [1e-12, 1.0, 1e12])
 def test_eval_total_mass_check_is_relative(total):
     # no absolute floor: twice the mass is refused at every scale
@@ -344,6 +372,16 @@ def test_atomic_retry_that_repeats_the_last_state_reuses_its_solve(monkeypatch):
                    for (p0, w0), (p1, w1) in zip(states, states[1:]))
     assert res.per_k == pytest.approx(
         {1: 1.7089624801133672, 2: 2.037463418659966, 3: 1.7090383954986992}, rel=1e-12)
+
+
+def test_catchments_connected_flags_a_split_catchment():
+    g = Grid(nx=4, ny=4, h=0.25)
+    assign = np.zeros(16, dtype=np.int64)  # one pole serves every cell
+    masses = np.zeros((4, 4))
+    masses[0, 0] = masses[0, 1] = 1.0
+    assert urbanplan._catchments_connected(assign, g, masses.ravel())
+    masses[3, 3] = 1.0  # a second blob of the same pole, not adjacent to the first
+    assert not urbanplan._catchments_connected(assign, g, masses.ravel())
 
 
 def test_atomic_k_sweep_reports_all_values():
