@@ -4,9 +4,8 @@ single Neumann Poisson solve, the weighted-metric duality check against grid
 geodesics, rasterized transport densities, and trajectory reconstruction.
 
 Discretization: fluxes live on faces; the objective co-locates the four face
-values of each cell through the root-mean-square norm
-|V|_c = sqrt((vxL^2 + vxR^2 + vyB^2 + vyT^2)/2), which reproduces the
-face-separable quadratic energy exactly (so the splitting solver and the
+values of each cell by the root-mean-square norm of grids, which reproduces
+the face-separable quadratic energy exactly (so the splitting solver and the
 Poisson solver agree to solver precision for H(t) = t^2/2) while staying
 isotropic for mass-flow costs.
 
@@ -41,12 +40,13 @@ import numpy as np
 
 from .congestion import CongestionSpec
 from .errors import (
+    CongestedTransportError,
     MassMismatchError,
     PointOutsideDomainError,
     ShapeMismatchError,
     SingularSystemError,
 )
-from .grids import Grid, ScalarField, VectorField
+from .grids import Grid, ScalarField, VectorField, _cell_rms
 from .kantorovich import Coupling, DiscreteMeasure, pairwise_distances, solve_discrete_ot
 
 
@@ -151,11 +151,6 @@ def solve_dual_quadratic(mu: ScalarField, nu: ScalarField, grid: Grid):
     for face in (vx[1:-1], vy[:, 1:-1]):
         np.negative(face, out=face)
     return ScalarField(x, grid), VectorField(vx, vy, grid)
-
-
-def _rms_norms(p4: np.ndarray) -> np.ndarray:
-    """|.|_w per cell for the (4, nx, ny) gathered faces, as an (nx, ny) array."""
-    return np.sqrt(0.5 * np.sum(np.square(p4), axis=0))
 
 
 @dataclass
@@ -299,7 +294,7 @@ def solve_beckmann(mu: ScalarField, nu: ScalarField, spec: CongestionSpec, grid:
         project(np.subtract(q, lam, out=q_new))
         for z2k, face, lamk in zip(z2, ops.planes(fx, fy), lam):
             np.add(face, lamk, out=z2k)
-        m = _rms_norms(z2)
+        m = _cell_rms(*z2)
         s_star = spec.prox(m.ravel(), tau).reshape(m.shape)
         scale = np.where(m > 0, s_star / np.maximum(m, 1e-300), 0.0)
         np.multiply(z2, scale, out=q_new)
@@ -312,54 +307,59 @@ def solve_beckmann(mu: ScalarField, nu: ScalarField, spec: CongestionSpec, grid:
     tau = h2 * w / (2.0 * rho)
     it = 0
     check_every = 10
-    for it in range(1, max_iter + 1):
-        check = it % check_every == 0 or it == max_iter
-        if check:
-            v_prev = fx.copy(), fy.copy()
-        iterate(state, image, tau)
-        if check:
-            rv = ops.gather(fx, fy)
-            q, dq = image[0], image[0] - state[0]
-            split_res = float(np.abs(rv - q).max(initial=0.0))
-            change = max(float(np.abs(fx - v_prev[0]).max(initial=0.0)),
-                         float(np.abs(fy - v_prev[1]).max(initial=0.0)))
-            vscale = max(1.0, float(np.abs(fx).max(initial=0.0)),
-                         float(np.abs(fy).max(initial=0.0)))
-            # the fixed-point residual G(x) - x is R v - q in lam and dq in q. A
-            # v that barely moves is not enough: a mixed state can stall, with x
-            # barely moving while G(x) - x stays large
-            q_step = float(np.abs(dq).max(initial=0.0))
-            if max(split_res, q_step, change) <= tol * vscale:
-                converged = True
+    # a flux that overflows turns to inf and nan; the check reports that once
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, max_iter + 1):
+            check = it % check_every == 0 or it == max_iter
+            if check:
+                v_prev = fx.copy(), fy.copy()
+            iterate(state, image, tau)
+            if check:
+                rv = ops.gather(fx, fy)
+                q, dq = image[0], image[0] - state[0]
+                split_res = float(np.abs(rv - q).max(initial=0.0))
+                change = max(float(np.abs(fx - v_prev[0]).max(initial=0.0)),
+                             float(np.abs(fy - v_prev[1]).max(initial=0.0)))
+                vscale = max(1.0, float(np.abs(fx).max(initial=0.0)),
+                             float(np.abs(fy).max(initial=0.0)))
+                # the fixed-point residual G(x) - x is R v - q in lam and dq in q. A
+                # v that barely moves is not enough: a mixed state can stall, with x
+                # barely moving while G(x) - x stays large
+                q_step = float(np.abs(dq).max(initial=0.0))
+                if not np.isfinite(split_res + q_step + change):
+                    raise CongestedTransportError(f"the flux overflowed the floats by iteration "
+                                                  f"{it}: mu and nu are too large to solve for")
+                if max(split_res, q_step, change) <= tol * vscale:
+                    converged = True
+                    break
+                # residual balancing keeps the two ADMM residuals comparable
+                r_pri = float(np.linalg.norm(rv - q))
+                r_dua = float(rho * np.linalg.norm(dq))
+                if r_pri > 10.0 * r_dua and r_dua > 0:
+                    factor = 2.0
+                elif r_dua > 10.0 * r_pri and r_pri > 0:
+                    factor = 0.5
+                else:
+                    factor = 1.0
+                if factor != 1.0:
+                    rho *= factor
+                    # lam is scaled by 1/rho in the state and in its image alike, so
+                    # that the Anderson residual G(x) - x compares like with like
+                    state[1] /= factor
+                    image[1] /= factor
+                    tau = h2 * w / (2.0 * rho)
+                    if anderson is not None:
+                        anderson.restart()
+            if it == max_iter:
                 break
-            # residual balancing keeps the two ADMM residuals comparable
-            r_pri = float(np.linalg.norm(rv - q))
-            r_dua = float(rho * np.linalg.norm(dq))
-            if r_pri > 10.0 * r_dua and r_dua > 0:
-                factor = 2.0
-            elif r_dua > 10.0 * r_pri and r_pri > 0:
-                factor = 0.5
+            if anderson is None:
+                state, image = image, state
             else:
-                factor = 1.0
-            if factor != 1.0:
-                rho *= factor
-                # lam is scaled by 1/rho in the state and in its image alike, so
-                # that the Anderson residual G(x) - x compares like with like
-                state[1] /= factor
-                image[1] /= factor
-                tau = h2 * w / (2.0 * rho)
-                if anderson is not None:
-                    anderson.restart()
-        if it == max_iter:
-            break
-        if anderson is None:
-            state, image = image, state
-        else:
-            anderson.next_state(state.reshape(-1), image.reshape(-1))
+                anderson.next_state(state.reshape(-1), image.reshape(-1))
 
     q, lam = image
     project(q - lam)  # exact feasibility of the returned flow
-    cost = float(h2 * np.dot(w, spec.H(_rms_norms(ops.gather(fx, fy)).ravel())))
+    cost = float(h2 * np.dot(w, spec.H(_cell_rms(*ops.planes(fx, fy)).ravel())))
 
     # the multiplier eta of R v = q is a subgradient of the objective at q, so
     # (phi, z) fitted to it is near the dual optimum; R^T R = 2I on interior
@@ -369,7 +369,7 @@ def solve_beckmann(mu: ScalarField, nu: ScalarField, spec: CongestionSpec, grid:
     phi = ops.solve_poisson(-ops.div(rx, ry))
     bx, by = ops.div_adjoint(phi)
     z = eta - 0.5 * ops.gather(rx + bx, ry + by)
-    s = 2.0 * _rms_norms(z).ravel() / (h2 * w)  # |z_c|_* / (h^2 w_c), the dual norm
+    s = 2.0 * _cell_rms(*z).ravel() / (h2 * w)  # |z_c|_* / (h^2 w_c), the dual norm
     dual = -float(np.dot(phi.ravel(), f.ravel()))
     if spec.p == 1.0:
         # H* is the indicator of s <= 1 + a: scale (phi, z) onto its domain
@@ -499,15 +499,10 @@ class WeightedDualityReport:
 
 def measure_to_field(measure: DiscreteMeasure, grid: Grid) -> tuple[ScalarField, list]:
     """Deposit point masses into their cells as densities; also returns the
-    distinct cell list in point order."""
+    cell (ix, iy) of each point, in point order."""
     pts = _check_points_inside(measure.points, grid, "measure")
-    vals = np.zeros((grid.nx, grid.ny))
-    cells = []
-    for (x, y), wgt in zip(pts, measure.weights):
-        ix, iy = grid.cell_of(x, y)
-        vals[ix, iy] += wgt / grid.cell_area
-        cells.append((ix, iy))
-    return ScalarField(vals, grid), cells
+    ix, iy = grid.cell_of(*pts.T)
+    return cloud_to_field(pts, measure.weights, grid), list(zip(ix.tolist(), iy.tolist()))
 
 
 def weighted_beckmann_duality_check(k: ScalarField, mu: DiscreteMeasure, nu: DiscreteMeasure,
@@ -556,11 +551,9 @@ def _bilinear(values: np.ndarray, grid: Grid, pts: np.ndarray) -> np.ndarray:
     gx = np.clip(pts[:, 0] / grid.h - 0.5, 0.0, nx - 1.0)
     gy = np.clip(pts[:, 1] / grid.h - 0.5, 0.0, ny - 1.0)
     ix = np.minimum(gx.astype(np.int64), nx - 2)  # a Grid has nx >= 2
-    iy = np.minimum(gy.astype(np.int64), ny - 2) if ny > 1 else np.zeros(len(pts), dtype=np.int64)
+    iy = np.minimum(gy.astype(np.int64), max(ny - 2, 0))  # gy = 0 when ny = 1
     fx = gx - ix
     fy = gy - iy
-    if ny == 1:
-        fy = np.zeros_like(fy)
     ix1 = np.minimum(ix + 1, nx - 1)
     iy1 = np.minimum(iy + 1, ny - 1)
     v00 = values[ix, iy]
@@ -656,9 +649,7 @@ def reconstruct_trajectories(v: VectorField, mu: ScalarField, nu: ScalarField, g
 
         seg = np.hypot(new[:, 0] - pts[:, 0], new[:, 1] - pts[:, 1])
         mid = 0.5 * (pts + new)
-        ixm = np.clip((mid[:, 0] / grid.h).astype(np.int64), 0, grid.nx - 1)
-        iym = np.clip((mid[:, 1] / grid.h).astype(np.int64), 0, grid.ny - 1)
-        np.add.at(intensity, (ixm, iym), wts * seg / grid.cell_area)
+        np.add.at(intensity, grid.cell_of(*mid.T), wts * seg / grid.cell_area)
 
         pts = new
         if step + 1 == n_steps // 2:
@@ -679,10 +670,8 @@ def reconstruct_trajectories(v: VectorField, mu: ScalarField, nu: ScalarField, g
 def cloud_to_field(points: np.ndarray, weights: np.ndarray, grid: Grid) -> ScalarField:
     """Histogram a weighted point cloud into a cell-centered density."""
     pts = np.atleast_2d(points)
-    ix = np.clip((pts[:, 0] / grid.h).astype(np.int64), 0, grid.nx - 1)
-    iy = np.clip((pts[:, 1] / grid.h).astype(np.int64), 0, grid.ny - 1)
     vals = np.zeros((grid.nx, grid.ny))
-    np.add.at(vals, (ix, iy), np.asarray(weights, dtype=float) / grid.cell_area)
+    np.add.at(vals, grid.cell_of(*pts.T), np.asarray(weights, dtype=float) / grid.cell_area)
     return ScalarField(vals, grid)
 
 
@@ -696,14 +685,15 @@ def coarsen_field(field: ScalarField, factor: int) -> ScalarField:
     return ScalarField(vals, coarse)
 
 
-def field_w1(a: ScalarField, b: ScalarField, max_cells: int = 400) -> float:
+def field_w1(a: ScalarField, b: ScalarField) -> float:
     """W_1 between two grid densities of equal mass, computed exactly on cell
-    centers (coarsen first so the transport stays at desk scale)."""
+    centers, after halving the grid until it has at most 400 cells so the
+    transport stays at desk scale."""
     grid = a.grid
     if b.grid != grid:
         raise ShapeMismatchError("fields live on different grids")
     factor = 1
-    while (grid.nx // factor) * (grid.ny // factor) > max_cells:
+    while (grid.nx // factor) * (grid.ny // factor) > 400:
         factor *= 2
         if grid.nx % factor or grid.ny % factor:
             raise ShapeMismatchError("grid not coarsenable to the requested size")

@@ -69,11 +69,7 @@ def _parse_demand(path, net: network.Network):
     fixed: dict[tuple[int, int], float] = {}
     mu: dict[int, float] = {}
     nu: dict[int, float] = {}
-    for lineno, raw in enumerate(network._read_text(path).splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, parts in network._records(network._read_text(path)):
         kind = parts[0].lower()
         if kind == "demand" and len(parts) == 4:
             s, d = label_to_id.get(parts[1]), label_to_id.get(parts[2])
@@ -345,33 +341,9 @@ def _cmd_city(args) -> int:
 ROUNDTRIP_TOL = 1e-6
 
 
-def _parse_firms(path):
-    """Firm file reuses the point format; the trailing column is the price
-    (which, unlike a mass, may be negative)."""
-    pts = []
-    prices = []
-    for lineno, raw in enumerate(network._read_text(path).splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0].lower() != "point" or len(parts) < 3:
-            raise InputFormatError(f"{path}:{lineno}: expected 'point <coords...> <price>'")
-        vals = kantorovich.parse_numbers(parts[1:], f"{path}:{lineno}")
-        if not np.all(np.isfinite(vals)):
-            raise InputFormatError(f"{path}:{lineno}: coordinates and price must be finite")
-        if pts and len(vals) - 1 != len(pts[0]):
-            raise InputFormatError(f"{path}:{lineno}: inconsistent point dimension")
-        pts.append(vals[:-1])
-        prices.append(vals[-1])
-    if not pts:
-        raise InputFormatError(f"{path}: firm file contains no points")
-    return np.array(pts), np.array(prices)
-
-
 def _cmd_hotelling(args) -> int:
     t0 = time.time()
-    firm_points, prices = _parse_firms(args.firms)
+    firm_points, prices = kantorovich.parse_points(network._read_text(args.firms), args.firms)
     consumers = kantorovich.load_measure(args.consumers)
     assignment, demands = kantorovich.hotelling_demands(
         firm_points, prices, consumers, metric_p=args.metric_p)

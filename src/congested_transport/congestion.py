@@ -185,7 +185,3 @@ class EdgeCosts:
     # the law of one spec; with array a and p it runs over every edge at once
     H = CongestionSpec.H
     g = CongestionSpec.g
-
-
-def as_edge_costs(spec, n_edges: int) -> EdgeCosts:
-    return EdgeCosts(spec, n_edges)

@@ -1,5 +1,7 @@
 """Regular staggered grids: cell-centered scalar fields, face-normal vector
 fields with a built-in no-flux boundary, discrete divergence, and CSV I/O.
+This module owns the two grid rules the solvers share: the cell of a point
+(``Grid.cell_of``) and the RMS co-location of face values (``_cell_rms``).
 """
 
 from __future__ import annotations
@@ -54,10 +56,11 @@ class Grid:
         xc, yc = self.cell_centers()
         return np.column_stack([xc.ravel(), yc.ravel()])
 
-    def cell_of(self, x: float, y: float) -> tuple[int, int]:
-        """Indices of the cell containing (x, y); boundary points clip inward."""
-        ix = min(max(int(x / self.h), 0), self.nx - 1)
-        iy = min(max(int(y / self.h), 0), self.ny - 1)
+    def cell_of(self, x, y) -> tuple[np.ndarray, np.ndarray]:
+        """Indices (ix, iy) of the cells containing the points (x, y), for
+        scalars or arrays alike; points on or past the boundary clip inward."""
+        ix = np.clip((np.asarray(x) / self.h).astype(np.int64), 0, self.nx - 1)
+        iy = np.clip((np.asarray(y) / self.h).astype(np.int64), 0, self.ny - 1)
         return ix, iy
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
@@ -135,18 +138,20 @@ class VectorField:
         return cx, cy
 
     def cell_magnitude_rms(self) -> np.ndarray:
-        """Root-mean-square co-location: |V|_c = sqrt(sum of the four face
-        values squared, halved). Exactly reproduces the face-quadratic energy."""
-        sq = (
-            np.square(self.vx[:-1, :]) + np.square(self.vx[1:, :])
-            + np.square(self.vy[:, :-1]) + np.square(self.vy[:, 1:])
-        )
-        return np.sqrt(0.5 * sq)
+        """Root-mean-square co-location |V|_c of each cell (see _cell_rms)."""
+        return _cell_rms(self.vx[:-1, :], self.vx[1:, :], self.vy[:, :-1], self.vy[:, 1:])
 
     def cell_magnitude(self) -> np.ndarray:
         """Euclidean magnitude of the arithmetic cell-average vector."""
         cx, cy = self.cell_averages()
         return np.hypot(cx, cy)
+
+
+def _cell_rms(left, right, bottom, top) -> np.ndarray:
+    """|V|_c = sqrt((vxL^2 + vxR^2 + vyB^2 + vyT^2)/2) per cell, which reproduces the
+    face-quadratic energy exactly; private, as the ADMM calls it every iteration."""
+    sq = np.square(left) + np.square(right) + np.square(bottom) + np.square(top)
+    return np.sqrt(0.5 * sq)
 
 
 def divergence(v: VectorField, grid: Grid) -> ScalarField:

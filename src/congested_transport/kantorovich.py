@@ -11,7 +11,8 @@ target sink lies within. The solver maintains dual feasibility and
 complementary slackness throughout, so the returned potentials certify
 optimality by strong duality. scipy.sparse is imported on first use, so
 importing the package does not load it. Hotelling demands and prices are
-taken for the cost |x - y|^p between firm and consumer coordinates.
+taken for the cost |x - y|^p between firm and consumer coordinates. The
+'.pts' format of measures and firm files is read by ``parse_points`` alone.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .errors import (
     NonFiniteCostError,
     TransportSolverError,
 )
-from .network import _read_text
+from .network import _read_text, _records
 
 MASS_RTOL = 1e-10
 SUPPORT_EPS = 1e-8
@@ -532,32 +533,34 @@ def parse_numbers(fields, where: str) -> list[float]:
         raise InputFormatError(f"{where}: non-numeric field in {' '.join(fields)!r}") from None
 
 
-def parse_measure(text: str) -> DiscreteMeasure:
-    """Read 'point <x> [<y> ...] <weight>' lines ('#' starts a comment)."""
-    pts = []
-    ws = []
-    dim = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+def parse_points(text: str, where: str) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, d) coordinates and the n trailing values (a measure's weights or
+    a firm file's prices) of the '.pts' lines 'point <x> [<y> ...] <value>'.
+    InputFormatError, naming ``where`` and the line, unless there is a point,
+    all of one dimension, and every field is a finite number."""
+    rows = []
+    for lineno, parts in _records(text):
+        at = f"{where}:{lineno}"
         if parts[0].lower() != "point" or len(parts) < 3:
-            raise InputFormatError(f"line {lineno}: expected 'point <coords...> <weight>'")
-        vals = parse_numbers(parts[1:], f"line {lineno}")
-        coords, w = vals[:-1], vals[-1]
-        if not np.all(np.isfinite(coords)):
-            raise InputFormatError(f"line {lineno}: coordinates must be finite")
-        if dim is None:
-            dim = len(coords)
-        elif len(coords) != dim:
-            raise InputFormatError(f"line {lineno}: inconsistent point dimension")
-        pts.append(coords)
-        ws.append(w)
-    if not pts:
-        raise InputFormatError("measure file contains no points")
-    return DiscreteMeasure(weights=np.array(ws), points=np.array(pts))
+            raise InputFormatError(f"{at}: expected 'point <coords...> <value>'")
+        vals = parse_numbers(parts[1:], at)
+        if not np.all(np.isfinite(vals)):
+            raise InputFormatError(f"{at}: non-finite field in {' '.join(parts[1:])!r}")
+        if rows and len(vals) != len(rows[0]):
+            raise InputFormatError(f"{at}: inconsistent point dimension")
+        rows.append(vals)
+    if not rows:
+        raise InputFormatError(f"{where}: contains no points")
+    rows = np.array(rows)
+    return rows[:, :-1], rows[:, -1]
+
+
+def parse_measure(text: str) -> DiscreteMeasure:
+    """The measure of a '.pts' text (see parse_points); its values are the weights."""
+    points, weights = parse_points(text, "<string>")
+    return DiscreteMeasure(weights=weights, points=points)
 
 
 def load_measure(path) -> DiscreteMeasure:
-    return parse_measure(_read_text(path))
+    points, weights = parse_points(_read_text(path), str(path))
+    return DiscreteMeasure(weights=weights, points=points)

@@ -1,5 +1,7 @@
 """Directed multigraphs with sources and destinations, and shortest paths under
-a nonnegative per-edge metric.
+a nonnegative per-edge metric. This module owns the line rule of the text
+formats ('.net', '.dem', '.pts'): ``_records`` cuts each '#' comment and skips
+lines left without a field.
 
 Shortest paths come from one compiled multi-source Dijkstra
 (scipy.sparse.csgraph) per metric. It runs over the network's arcs: the
@@ -306,11 +308,7 @@ def parse_network(text: str) -> Network:
             label_ids[label] = len(label_ids)
         return label_ids[label]
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, parts in _records(text):
         kind = parts[0].lower()
         if kind == "nodes":
             if len(parts) != 2 or not parts[1].isdecimal():
@@ -345,6 +343,15 @@ def parse_network(text: str) -> Network:
     tags = cost_tags if any(t is not None for t in cost_tags) else None
     return Network(n_nodes=n_nodes, edges=edges, sources=sources, dests=dests,
                    labels=labels, edge_cost_tags=tags)
+
+
+def _records(text: str):
+    """(line number, fields) of each line of a text format that has a field
+    left once its '#' comment is cut."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split("#", 1)[0].split()
+        if fields:
+            yield lineno, fields
 
 
 def _read_text(path) -> str:

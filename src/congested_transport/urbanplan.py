@@ -700,8 +700,7 @@ def _catchments_connected(assign: np.ndarray, grid: Grid, masses: np.ndarray) ->
 
 
 def minimize_with_atomic_G(p: float, spread: SpreadSpec, conc: ConcentrationSpec,
-                           k_max: int, grid: Grid, tol: float = 1e-5,
-                           poles0: np.ndarray | None = None) -> AtomicCityResult:
+                           k_max: int, grid: Grid, tol: float = 1e-5) -> AtomicCityResult:
     """Minimize W_p^p(mu, nu) + integral f(u) + sum_k g(a_k) over densities mu
     and atom clouds nu with at most k_max poles: exhaustive sweep over the
     pole count, alternating the mu subproblem, pole position best responses,
@@ -731,7 +730,7 @@ def minimize_with_atomic_G(p: float, spread: SpreadSpec, conc: ConcentrationSpec
     per_k_converged: dict[int, bool] = {}
 
     for k in range(1, k_max + 1):
-        pts = _initial_poles(grid, k) if poles0 is None or k != len(poles0) else np.array(poles0, dtype=float)
+        pts = _initial_poles(grid, k)
         w = np.full(k, 1.0 / k)
         best_state = None  # (value, sol, pts, w)
         last = None  # (pts, w, mu0, sol) of the last solve_p_nu

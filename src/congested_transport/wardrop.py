@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .congestion import EdgeCosts, as_edge_costs
+from .congestion import EdgeCosts
 from .errors import (
     DecompositionFailureError,
     InputFormatError,
@@ -108,13 +108,13 @@ def objective(flows: np.ndarray, spec) -> float:
     """Total congestion cost sum_e H_e(i_e); spec is one CongestionSpec or a
     per-edge sequence."""
     flows = _check_flows(flows, len(flows))
-    return float(np.sum(as_edge_costs(spec, len(flows)).H(flows)))
+    return float(np.sum(EdgeCosts(spec, len(flows)).H(flows)))
 
 
 def link_metric(flows: np.ndarray, spec) -> np.ndarray:
     """Congestioned per-edge cost xi(e) = H_e'(i(e))."""
     flows = _check_flows(flows, len(flows))
-    return np.asarray(as_edge_costs(spec, len(flows)).g(flows), dtype=float)
+    return np.asarray(EdgeCosts(spec, len(flows)).g(flows), dtype=float)
 
 
 def all_or_nothing(net: Network, xi: np.ndarray, coupling: np.ndarray) -> np.ndarray:
@@ -125,13 +125,17 @@ def all_or_nothing(net: Network, xi: np.ndarray, coupling: np.ndarray) -> np.nda
     return _route(net, shortest_distances(net, xi), coupling)
 
 
+def _raise_stuck(net: Network, stuck: np.ndarray) -> None:
+    """UnreachableError for the first (source, destination) position pair set in stuck."""
+    if stuck.any():
+        si, di = np.argwhere(stuck)[0]
+        raise UnreachableError(net.sources[si], net.dests[di], net.labels)
+
+
 def _route(net: Network, table, gamma: np.ndarray) -> np.ndarray:
     """Link flows of sending each mass gamma[si, di] along the table's witness path."""
     used = gamma > 0
-    stuck = np.argwhere(used & np.isinf(table.matrix))
-    if len(stuck):
-        si, di = stuck[0]
-        raise UnreachableError(net.sources[si], net.dests[di], net.labels)
+    _raise_stuck(net, used & np.isinf(table.matrix))
     flows = [0.0] * net.n_edges
     for (si, di), mass in zip(np.argwhere(used).tolist(), gamma[used].tolist()):
         for e in table.witness(si, di):
@@ -152,10 +156,7 @@ def _optimal_coupling(net: Network, dmat: np.ndarray, mu, nu) -> OTResult:
     if not finite.all():
         cost = np.where(finite, dmat, 2 * sum(dmat.shape) * dmat[finite].max(initial=0.0) + 1.0)
     res = solve_discrete_ot(DiscreteMeasure(weights=mu), DiscreteMeasure(weights=nu), cost)
-    stuck = np.argwhere(~finite & (res.coupling.plan > 0))
-    if len(stuck):
-        si, di = stuck[0]
-        raise UnreachableError(net.sources[si], net.dests[di], net.labels)
+    _raise_stuck(net, ~finite & (res.coupling.plan > 0))
     return res
 
 
@@ -245,7 +246,7 @@ def _simplicial_decomposition(net, spec, demand, tol, max_iter):
     """Simplicial decomposition over the polytope of (link flow, coupling)
     pairs: a Frank-Wolfe vertex per iteration, then the exact master over the
     hull of the vertices kept so far."""
-    costs = as_edge_costs(spec, net.n_edges)
+    costs = EdgeCosts(spec, net.n_edges)
     n_s, n_d = len(net.sources), len(net.dests)
 
     if demand.kind == "fixed":
@@ -366,16 +367,11 @@ def verify_conservation(net: Network, result: EquilibriumResult) -> float:
     return float(np.abs(balance - expected).max())
 
 
-def verify_wardrop(net: Network, result: EquilibriumResult,
-                   path_cap: int = 1000) -> WardropReport:
+def verify_wardrop(net: Network, result: EquilibriumResult) -> WardropReport:
     """Decompose the flows into path flows by shortest-path peeling and report
     the worst relative excess of a used path over its pair's shortest cost.
-
-    Raises PathExplosionError when the network has more than path_cap simple
-    paths, and DecompositionFailureError when peeling strands more than 1e-6
-    units of flow.
-    """
-    enumerate_paths(net, cap=path_cap)  # enforce the smallness precondition
+    Raises DecompositionFailureError when peeling strands more than 1e-6 units
+    of flow."""
     xi = result.xi
     table = shortest_distances(net, xi)
 
@@ -444,7 +440,7 @@ def brute_force_equilibrium(net: Network, spec, demand: DemandSpec) -> Equilibri
     from scipy.linalg import qr
     from scipy.optimize import minimize
 
-    costs = as_edge_costs(spec, net.n_edges)
+    costs = EdgeCosts(spec, net.n_edges)
     paths = enumerate_paths(net, cap=50).paths
     n_s, n_d = len(net.sources), len(net.dests)
     src = np.array([net.sources.index(s) for s, _, _ in paths], dtype=int)
@@ -456,9 +452,7 @@ def brute_force_equilibrium(net: Network, spec, demand: DemandSpec) -> Equilibri
         inc[list(p), k] = 1.0
 
     if demand.kind == "fixed":
-        stuck = np.argwhere((demand.gamma > 0) & (count.reshape(n_s, n_d) == 0))
-        if len(stuck):
-            raise UnreachableError(net.sources[stuck[0][0]], net.dests[stuck[0][1]], net.labels)
+        _raise_stuck(net, (demand.gamma > 0) & (count.reshape(n_s, n_d) == 0))
         start, rows = demand.gamma, np.unique(cell)
         a_eq = (cell == rows[:, None]).astype(float)
         b_eq = start.ravel()[rows]

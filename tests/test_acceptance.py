@@ -111,7 +111,7 @@ def solved_suite():
     for name, net, spec, gamma in suite:
         assert len(enumerate_paths(net, cap=50)) <= 50
         res = solve_fixed_demand(net, spec, gamma, tol=1e-6, max_iter=5000)
-        rep = verify_wardrop(net, res, path_cap=50)
+        rep = verify_wardrop(net, res)
         solved.append((name, net, spec, gamma, res, rep))
     elapsed = time.time() - t0
     return solved, elapsed
@@ -301,7 +301,7 @@ def test_criterion_08_trajectory_reconstruction():
     traj = reconstruct_trajectories(res.v, mu, nu, g, n_particles=10000, n_steps=200, seed=42)
 
     end_field = cloud_to_field(traj.endpoints, traj.weights, g)
-    w1_end = field_w1(end_field, nu, max_cells=256)
+    w1_end = field_w1(end_field, nu)
     assert w1_end <= 2 * g.h
 
     vmag = res.v.cell_magnitude()
@@ -311,7 +311,7 @@ def test_criterion_08_trajectory_reconstruction():
 
     mid_field = cloud_to_field(traj.midpoints, traj.weights, g)
     half = ScalarField(0.5 * (a + b), g)
-    w1_mid = field_w1(mid_field, half, max_cells=256)
+    w1_mid = field_w1(mid_field, half)
     assert w1_mid <= 3 * g.h
 
     elapsed = time.time() - t0

@@ -570,7 +570,7 @@ def test_field_w1_and_coarsen():
     xc, yc = g.cell_centers()
     a = np.zeros((16, 16)); a[4, 8] = 1.0 / g.cell_area
     b = np.zeros((16, 16)); b[12, 8] = 1.0 / g.cell_area
-    d = field_w1(ScalarField(a, g), ScalarField(b, g), max_cells=256)
+    d = field_w1(ScalarField(a, g), ScalarField(b, g))
     assert d == pytest.approx(8 * g.h, rel=1e-9)
     coarse = coarsen_field(ScalarField(a, g), 4)
     assert coarse.grid.nx == 4

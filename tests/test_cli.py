@@ -234,6 +234,33 @@ def test_metric_exponent_not_finite(tmp_path, capsys, command):
     assert _one_error_line(capsys) == "error: --metric lp: exponent must be finite, got nan\n"
 
 
+def test_metric_kind_unknown(tmp_path, capsys):
+    write(tmp_path / "a.pts", "point 0.0 1.0\n")
+    rc = main(["ot", "--mu", str(tmp_path / "a.pts"), "--nu", str(tmp_path / "a.pts"),
+               "--metric", "l2", "1", "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert _one_error_line(capsys) == "error: unknown metric kind 'l2'\n"
+
+
+@pytest.mark.parametrize("H", ["quadratic", "monomial 1", "monomial 3"])
+def test_beckmann_flux_overflow_is_one_error_line(tmp_path, capsys, H):
+    from congested_transport.grids import Grid, ScalarField, save_scalar_csv
+
+    # finite densities whose flux squares overflow: one error after the first
+    # check, with no numpy warning on stderr
+    g = Grid(nx=8, ny=8, h=0.125)
+    mu = np.random.default_rng(0).random((8, 8)) * 1e300
+    save_scalar_csv(ScalarField(mu, g), tmp_path / "mu.csv")
+    save_scalar_csv(ScalarField(np.full((8, 8), mu.sum() / 64), g), tmp_path / "nu.csv")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["beckmann", "--mu", str(tmp_path / "mu.csv"), "--nu", str(tmp_path / "nu.csv"),
+                   "--H", H, "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert _one_error_line(capsys) == ("error: the flux overflowed the floats by iteration 10: "
+                                       "mu and nu are too large to solve for\n")
+
+
 def test_ot_mass_balance_is_relative(tmp_path, capsys):
     write(tmp_path / "a.pts", "point 0.0 1e-14\n")
     write(tmp_path / "b.pts", "point 1.0 2e-14\n")
@@ -266,7 +293,7 @@ def test_ot_measure_non_numeric_field(tmp_path, capsys):
     rc = main(["ot", "--mu", str(tmp_path / "a.pts"), "--nu", str(tmp_path / "a.pts"),
                "--metric", "lp", "1", "--out", str(tmp_path / "run")])
     assert rc == 1
-    assert capsys.readouterr().err.startswith("error: line 2: non-numeric field")
+    assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'a.pts'}:2: non-numeric field")
 
 
 def test_hotelling_firm_non_numeric_field(tmp_path, capsys):
@@ -338,10 +365,10 @@ def test_ot_empty_cost_file_is_one_error_line(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("firms, message", [
-    ("# no firms\n", ": firm file contains no points"),
+    ("# no firms\n", ": contains no points"),
     ("point 0.0 0.0\npoint 1.0 0.5 0.5\n", ":2: inconsistent point dimension"),
-    ("point 0 nan\n", ":1: coordinates and price must be finite"),
-    ("point 0 0\npoint inf 1\n", ":2: coordinates and price must be finite"),
+    ("point 0 nan\n", ":1: non-finite field in '0 nan'"),
+    ("point 0 0\npoint inf 1\n", ":2: non-finite field in 'inf 1'"),
 ], ids=["empty", "ragged", "nan-price", "inf-coordinate"])
 def test_hotelling_firm_file_rejected(tmp_path, capsys, firms, message):
     write(tmp_path / "firms.pts", firms)
@@ -350,6 +377,20 @@ def test_hotelling_firm_file_rejected(tmp_path, capsys, firms, message):
                "--consumers", str(tmp_path / "consumers.pts"), "--out", str(tmp_path / "run")])
     assert rc == 1
     assert _one_error_line(capsys) == f"error: {tmp_path / 'firms.pts'}{message}\n"
+
+
+@pytest.mark.parametrize("command, flag, other", [("ot", "--mu", "--nu"),
+                                                   ("hotelling", "--firms", "--consumers")])
+def test_point_file_error_names_file_and_line(tmp_path, capsys, command, flag, other):
+    # measures and firm files share one parser, and so its messages; the
+    # comment line counts, so the bad line is line 3
+    write(tmp_path / "a.pts", "# points\npoint 0.0 1.0\npoint 0.5\n")
+    write(tmp_path / "b.pts", "point 0.5 1.0\n")
+    rc = main([command, flag, str(tmp_path / "a.pts"), other, str(tmp_path / "b.pts"),
+               "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert _one_error_line(capsys) == (f"error: {tmp_path / 'a.pts'}:3: "
+                                       f"expected 'point <coords...> <value>'\n")
 
 
 def test_ot_point_dimensions_differ(tmp_path, capsys):
@@ -549,6 +590,25 @@ def test_marginal_node_not_a_declared_endpoint(tmp_path, capsys, dem, message):
     rc, err = _wardrop_error(tmp_path, capsys, "nodes 2\nedge s d\nsource s\ndest d\n", dem)
     assert rc == 1
     assert err.startswith(f"error: {tmp_path / 'd.dem'}:{message}")
+
+
+def test_demand_file_mixing_fixed_and_marginal_lines(tmp_path, capsys):
+    rc, err = _wardrop_error(tmp_path, capsys, "nodes 2\nedge s d\nsource s\ndest d\n",
+                             "demand s d 1\nmu s 1\n")
+    assert rc == 1
+    assert err == f"error: {tmp_path / 'd.dem'}: mix of fixed and marginal demand lines\n"
+
+
+def test_wardrop_node_that_is_source_and_destination(tmp_path):
+    # the pair b -> b is routed on no edge
+    write(tmp_path / "n.net", "nodes 3\nedge a b\nedge b c\nsource a\nsource b\ndest b\ndest c\n")
+    write(tmp_path / "d.dem", "demand a c 1\ndemand b b 2\n")
+    out = tmp_path / "run"
+    rc = main(["wardrop", "--net", str(tmp_path / "n.net"), "--demand", str(tmp_path / "d.dem"),
+               "--out", str(out)])
+    assert rc == 0
+    assert np.array_equal(np.loadtxt(out / "flows.csv", delimiter=",")[:, 3], [1.0, 1.0])
+    assert np.array_equal(np.loadtxt(out / "coupling.csv", delimiter=","), [[0.0, 1.0], [2.0, 0.0]])
 
 
 def test_city_power_spread_without_exponent(tmp_path, capsys):

@@ -9,7 +9,6 @@ from congested_transport.congestion import (
     CongestionSpec,
     EdgeCosts,
     _newton_power_prox,
-    as_edge_costs,
 )
 from congested_transport.errors import CongestedTransportError
 
@@ -157,7 +156,7 @@ def test_edge_costs_grouping_matches_per_edge_eval():
     assert np.allclose(costs.H(flows), [0.5, 2.0, 4.5])
     assert np.allclose(costs.g(flows), [1.0, 1.0, 3.0])
     # single spec broadcasting
-    same = as_edge_costs(quad, 3)
+    same = EdgeCosts(quad, 3)
     assert np.allclose(same.H(flows), [0.5, 2.0, 4.5])
     with pytest.raises(CongestedTransportError):
         EdgeCosts([quad], 3)

@@ -190,6 +190,12 @@ def test_hotelling_single_firm():
     assert rec[0] == 0.0
 
 
+def test_hotelling_demands_needs_one_price_per_firm():
+    consumers = DiscreteMeasure(weights=np.full(3, 1 / 3), points=np.linspace(0, 1, 3)[:, None])
+    with pytest.raises(InputFormatError, match="one price per firm required"):
+        hotelling_demands(np.array([[0.0], [1.0]]), np.array([0.5]), consumers)
+
+
 def test_hotelling_symmetric_two_firms():
     consumers = DiscreteMeasure(weights=np.full(401, 1 / 401), points=np.linspace(0, 1, 401)[:, None])
     firms = np.array([[0.0], [1.0]])
@@ -251,7 +257,7 @@ def test_parse_measure():
 
 
 @pytest.mark.parametrize("text, message", [
-    ("point 0 0 1\npoint nan 0 1\n", "line 2: coordinates must be finite"),
+    ("point 0 0 1\npoint nan 0 1\n", "<string>:2: non-finite field in 'nan 0 1'"),
     ("point 0 1e308\npoint 1 1e308\n", "the total mass overflows"),
 ], ids=["nan-coordinate", "mass-overflow"])
 def test_parse_measure_rejects_non_finite_values(text, message):

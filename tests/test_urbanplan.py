@@ -219,6 +219,11 @@ def test_quadratic_city_radius_formula():
     assert quadratic_city_radius(1.0) == pytest.approx((6.0 / np.pi) ** 0.25, rel=1e-12)
 
 
+def test_quadratic_city_radius_needs_a_positive_strength():
+    with pytest.raises(InputFormatError, match="interaction strength must be positive"):
+        quadratic_city_radius(0.0)
+
+
 def test_quadratic_city_domain_guard():
     g = Grid(nx=16, ny=16, h=1.0 / 16)  # unit square cannot hold the lam=1 ball
     with pytest.raises(DomainTooSmallError):
@@ -288,19 +293,20 @@ def test_atomic_single_pole_at_barycenter():
             assert pole_cost(res.nu.points[0] + np.array([dx, dy])) >= best - 1e-12
 
 
-def test_atomic_two_poles_mirror_symmetry():
+def test_atomic_two_poles_mirror_symmetry(monkeypatch):
     g = Grid(nx=32, ny=32, h=1.0 / 32)
-    poles0 = np.array([[0.25, 0.5], [0.75, 0.5]])
-    res = minimize_with_atomic_G(2.0, SpreadSpec.quadratic(),
-                                 ConcentrationSpec.atomic_power(0.5), 2, g, tol=1e-7,
-                                 poles0=poles0)
-    two = res.per_k[2]
+    initial = urbanplan._initial_poles
+
+    def run(start):
+        # the two-pole loop starts from the poles at start
+        monkeypatch.setattr(urbanplan, "_initial_poles",
+                            lambda grid, k: np.array(start) if k == 2 else initial(grid, k))
+        return minimize_with_atomic_G(2.0, SpreadSpec.quadratic(),
+                                      ConcentrationSpec.atomic_power(0.5), 2, g, tol=1e-7)
+
+    two = run([[0.25, 0.5], [0.75, 0.5]]).per_k[2]
     # run the mirrored initialization; the converged geometry must match
-    mirrored0 = np.array([[0.75, 0.5], [0.25, 0.5]])
-    res_m = minimize_with_atomic_G(2.0, SpreadSpec.quadratic(),
-                                   ConcentrationSpec.atomic_power(0.5), 2, g, tol=1e-7,
-                                   poles0=mirrored0)
-    assert res_m.per_k[2] == pytest.approx(two, abs=1e-8)
+    assert run([[0.75, 0.5], [0.25, 0.5]]).per_k[2] == pytest.approx(two, abs=1e-8)
 
 
 def test_atomic_convergence_is_that_of_the_chosen_pole_count(monkeypatch):
@@ -314,6 +320,15 @@ def test_atomic_convergence_is_that_of_the_chosen_pole_count(monkeypatch):
     res = minimize_with_atomic_G(2.0, spread, conc, 2, g, tol=1e-12)
     assert res.per_k_converged == {1: False, 2: False}
     assert not res.converged
+
+
+@pytest.mark.parametrize("conc, k_max, message", [
+    (ConcentrationSpec.quadratic_interaction(1.0), 2, "needs an atomic concentration spec"),
+    (ConcentrationSpec.atomic_power(0.5), 0, "k_max must be at least one"),
+], ids=["interaction", "no-poles"])
+def test_atomic_sweep_rejects_its_inputs(conc, k_max, message):
+    with pytest.raises(InputFormatError, match=message):
+        minimize_with_atomic_G(2.0, SpreadSpec.quadratic(), conc, k_max, Grid(nx=8, ny=8, h=1.0 / 8))
 
 
 def _count_p_nu(monkeypatch):

@@ -7,7 +7,7 @@ from congested_transport import wardrop
 from congested_transport.congestion import CongestionSpec, EdgeCosts
 from congested_transport.errors import NegativeFlowError
 from congested_transport.kantorovich import DiscreteMeasure, _project_simplex, solve_discrete_ot
-from congested_transport.network import Network, shortest_distances
+from congested_transport.network import Network, enumerate_paths, shortest_distances
 from congested_transport.wardrop import (
     DemandSpec,
     EquilibriumResult,
@@ -194,6 +194,21 @@ def test_verify_wardrop_zero_flows():
     res = solve_fixed_demand(net, specs, [[0.0]])
     rep = verify_wardrop(net, res)
     assert rep.max_excess == 0.0
+
+
+def test_node_that_is_source_and_destination():
+    # b -> b is a zero-length pair: its mass stays on no edge, the peeling
+    # takes it off without a path and enumeration lists its empty path
+    net = Network(n_nodes=3, edges=[(0, 1), (1, 2)], sources=[0, 1], dests=[1, 2])
+    res = solve_fixed_demand(net, QUAD, [[0.0, 1.0], [2.0, 0.0]], tol=1e-10)
+    assert res.converged
+    assert np.array_equal(res.flows, [1.0, 1.0])
+    assert np.array_equal(res.coupling, [[0.0, 1.0], [2.0, 0.0]])
+    assert verify_conservation(net, res) == 0.0
+    rep = verify_wardrop(net, res)
+    assert rep.max_excess == 0.0
+    assert rep.path_flows == {(0, 2, (0, 1)): 1.0}
+    assert (1, 1, ()) in enumerate_paths(net).paths
 
 
 def test_brute_force_examples():
