@@ -357,26 +357,32 @@ def solve_beckmann(mu: ScalarField, nu: ScalarField, spec: CongestionSpec, grid:
             else:
                 anderson.next_state(state.reshape(-1), image.reshape(-1))
 
-    q, lam = image
-    project(q - lam)  # exact feasibility of the returned flow
-    cost = float(h2 * np.dot(w, spec.H(_cell_rms(*ops.planes(fx, fy)).ravel())))
+    # a flux that stays finite can still overflow the cost and dual sums;
+    # that is reported once, like an overflow in the loop
+    with np.errstate(over="ignore", invalid="ignore"):
+        q, lam = image
+        project(q - lam)  # exact feasibility of the returned flow
+        cost = float(h2 * np.dot(w, spec.H(_cell_rms(*ops.planes(fx, fy)).ravel())))
 
-    # the multiplier eta of R v = q is a subgradient of the objective at q, so
-    # (phi, z) fitted to it is near the dual optimum; R^T R = 2I on interior
-    # faces makes R^T z = -B^T phi hold exactly
-    eta = rho * lam
-    rx, ry = ops.gather_adjoint(eta)
-    phi = ops.solve_poisson(-ops.div(rx, ry))
-    bx, by = ops.div_adjoint(phi)
-    z = eta - 0.5 * ops.gather(rx + bx, ry + by)
-    s = 2.0 * _cell_rms(*z).ravel() / (h2 * w)  # |z_c|_* / (h^2 w_c), the dual norm
-    dual = -float(np.dot(phi.ravel(), f.ravel()))
-    if spec.p == 1.0:
-        # H* is the indicator of s <= 1 + a: scale (phi, z) onto its domain
-        dual /= max(1.0, float(s.max(initial=0.0)) / (1.0 + spec.a))
-    else:
-        dual -= h2 * float(np.dot(w, spec.conjugate(s)))
-    cert_gap = (cost - dual) / max(abs(cost), 1e-300)
+        # the multiplier eta of R v = q is a subgradient of the objective at q, so
+        # (phi, z) fitted to it is near the dual optimum; R^T R = 2I on interior
+        # faces makes R^T z = -B^T phi hold exactly
+        eta = rho * lam
+        rx, ry = ops.gather_adjoint(eta)
+        phi = ops.solve_poisson(-ops.div(rx, ry))
+        bx, by = ops.div_adjoint(phi)
+        z = eta - 0.5 * ops.gather(rx + bx, ry + by)
+        s = 2.0 * _cell_rms(*z).ravel() / (h2 * w)  # |z_c|_* / (h^2 w_c), the dual norm
+        dual = -float(np.dot(phi.ravel(), f.ravel()))
+        if spec.p == 1.0:
+            # H* is the indicator of s <= 1 + a: scale (phi, z) onto its domain
+            dual /= max(1.0, float(s.max(initial=0.0)) / (1.0 + spec.a))
+        else:
+            dual -= h2 * float(np.dot(w, spec.conjugate(s)))
+        cert_gap = (cost - dual) / max(abs(cost), 1e-300)
+    if not (np.isfinite(cost) and np.isfinite(dual) and np.isfinite(cert_gap)):
+        raise CongestedTransportError("the flow cost overflowed the floats: "
+                                      "mu and nu are too large to solve for")
 
     vf = VectorField(fx, fy, grid)
     div_res = float(np.abs(ops.div(fx, fy) - f).max(initial=0.0))

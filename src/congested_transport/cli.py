@@ -46,12 +46,19 @@ def _write_report(out_dir: Path, command: str, config: dict, inputs: dict,
 
 
 def _csv(path, array, header=None):
+    """Each row of array as one line of '.17g' fields. A +0.0 entry, most of
+    a transport plan, is written as the '0' that format gives it without
+    formatting it; -0.0, nan, inf and every other value are formatted."""
     arr = np.atleast_2d(np.asarray(array))
+    formatted = (arr != 0) | np.signbit(arr)
     with open(path, "w", encoding="utf-8") as fh:
         if header:
             fh.write("#" + ",".join(header) + "\n")
-        for row in arr:
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+        for row, todo in zip(arr, formatted):
+            fields = ["0"] * row.size
+            for k in np.flatnonzero(todo):
+                fields[k] = f"{row[k]:.17g}"
+            fh.write(",".join(fields) + "\n")
 
 
 def _amount(text: str, path, lineno: int) -> float:
@@ -163,6 +170,7 @@ def _cmd_ot(args) -> int:
                       "value": res.value,
                       "dual_value": res.dual_value,
                       "iterations": res.iterations,
+                      "repairs": res.repairs,
                       "duality_gap_rel": abs(res.value - res.dual_value) / (1 + abs(res.value)),
                   }, t0)
     return 0
@@ -383,16 +391,21 @@ def _cmd_selftest(args) -> int:
     check("two-route equilibrium", abs(res.objective - 0.5) < 1e-6 and res.relative_gap <= 1e-8)
 
     # one-dimensional W1 against the closed form: the integral of |F - G|
-    # over the merged support. The tight-arc start leaves two augmentations.
-    x, y = np.arange(5.0), np.arange(5.0) + 0.5
-    mu = kantorovich.DiscreteMeasure(weights=np.array([1, 3, 1, 2, 1]) / 8, points=x[:, None])
-    nu = kantorovich.DiscreteMeasure(weights=np.array([2, 1, 1, 1, 3]) / 8, points=y[:, None])
-    merged = np.concatenate([x, y])
-    order = np.argsort(merged, kind="stable")
-    cdf_gap = np.cumsum(np.concatenate([mu.weights, -nu.weights])[order])[:-1]
-    w1 = float(np.dot(np.abs(cdf_gap), np.diff(merged[order])))
-    ot = kantorovich.solve_discrete_ot(mu, nu, kantorovich.lp_cost_matrix(mu, nu, 1.0))
-    check("one-dimensional transport", abs(ot.value - w1) < 1e-12 and ot.iterations > 0)
+    # over the merged support. On 5 points the tight-arc start leaves two
+    # augmentations; 40 points, more than CAND a side, run on the candidate
+    # graph and its certificate
+    for name, wa, wb in [
+            ("one-dimensional transport", np.array([1, 3, 1, 2, 1]), np.array([2, 1, 1, 1, 3])),
+            ("one-dimensional transport, 40 points", *np.random.default_rng(5).random((2, 40)))]:
+        x, y = np.arange(wa.size, dtype=float), np.arange(wb.size) + 0.5
+        mu = kantorovich.DiscreteMeasure(weights=wa / wa.sum(), points=x[:, None])
+        nu = kantorovich.DiscreteMeasure(weights=wb / wb.sum(), points=y[:, None])
+        merged = np.concatenate([x, y])
+        order = np.argsort(merged, kind="stable")
+        cdf_gap = np.cumsum(np.concatenate([mu.weights, -nu.weights])[order])[:-1]
+        w1 = float(np.dot(np.abs(cdf_gap), np.diff(merged[order])))
+        ot = kantorovich.solve_discrete_ot(mu, nu, kantorovich.lp_cost_matrix(mu, nu, 1.0))
+        check(name, abs(ot.value - w1) < 1e-12 and ot.iterations > 0)
 
     # one-dimensional flow matches the cumulative-sum solution
     g1 = grids.Grid(nx=16, ny=1, h=1.0 / 16)

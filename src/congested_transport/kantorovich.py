@@ -2,15 +2,23 @@
 costs, the potential-as-derivative identity, and Hotelling price recovery.
 
 The solver is a successive-shortest-path (SSP) min-cost flow with potentials
-on the dense bipartite graph (Ahuja, Magnanti & Orlin, Network Flows, 1993).
-It starts from the row- and column-reduction duals of Jonker & Volgenant
+(Ahuja, Magnanti & Orlin, Network Flows, 1993) on a sparse candidate graph
+certified against the dense cost, after Schmitzer ("A sparse multiscale
+algorithm for dense optimal transport", J. Math. Imaging Vis. 2016). It
+starts from the row- and column-reduction duals of Jonker & Volgenant
 (Computing 1987) and routes mass along their zero-reduced-cost arcs first,
-so only what is left needs augmenting paths. Each augmentation is one
-compiled Dijkstra (scipy.sparse.csgraph), stopped at a distance that the
-target sink lies within. The solver maintains dual feasibility and
-complementary slackness throughout, so the returned potentials certify
-optimality by strong duality. scipy.sparse is imported on first use, so
-importing the package does not load it. Hotelling demands and prices are
+so only what is left needs augmenting paths. The graph holds the start's
+tight arcs and each row's and each column's CAND least reduced costs. Each
+augmentation is one compiled Dijkstra (scipy.sparse.csgraph) on it, stopped
+at a distance that the target sink lies within; a row whose arcs outside
+the set the potential update could take below zero is checked on the dense
+cost first, and the arcs that would go below zero join the set before the
+search runs again. When no supply is left, one dense reduced-cost pass
+certifies the duals on the whole cost, and a row that fails it drops to its
+c-transform and routes its mass again. The solver maintains dual
+feasibility and complementary slackness throughout, so the returned
+potentials certify optimality by strong duality. scipy.sparse is imported
+on first use, so importing the package does not load it. Hotelling demands and prices are
 taken for the cost |x - y|^p between firm and consumer coordinates. The
 '.pts' format of measures and firm files is read by ``parse_points`` alone.
 """
@@ -32,6 +40,8 @@ from .network import _read_text, _records
 
 MASS_RTOL = 1e-10
 SUPPORT_EPS = 1e-8
+# candidate arcs per row and per column of the SSP's sparse graph
+CAND = 16
 
 
 @dataclass
@@ -95,7 +105,8 @@ class OTResult:
     potentials: PotentialPair
     value: float
     dual_value: float
-    iterations: int
+    iterations: int  # augmentations
+    repairs: int  # rounds that added arcs to the SSP's candidate set
 
 
 def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -168,7 +179,7 @@ def solve_discrete_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, cost) -> OTResul
     if total <= 0:
         phi = np.zeros(m)
         psi = cost.min(axis=0) if m else np.zeros(n)
-        return OTResult(Coupling(plan), PotentialPair(phi, psi), 0.0, 0.0, 0)
+        return OTResult(Coupling(plan), PotentialPair(phi, psi), 0.0, 0.0, 0, 0)
 
     tol = 1e-13 * total
 
@@ -176,7 +187,7 @@ def solve_discrete_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, cost) -> OTResul
     u = cost.min(axis=1).astype(float)
     v = (cost - u[:, None]).min(axis=0)
 
-    it = _ssp(cost, a, b, plan, u, v, tol)
+    it, repairs = _ssp(cost, a, b, plan, u, v, tol)
 
     # zero-mass nodes carry no constraints; tighten them onto the c-transform
     dead_src = mu.weights <= 0
@@ -196,11 +207,64 @@ def solve_discrete_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, cost) -> OTResul
         dual = float(np.dot(mu.weights, u) + np.dot(nu.weights, v))
     if not (np.isfinite(value) and np.isfinite(dual)):
         raise NonFiniteCostError("the transport value overflows")
-    return OTResult(Coupling(plan), PotentialPair(u, v), value, dual, it)
+    return OTResult(Coupling(plan), PotentialPair(u, v), value, dual, it, repairs)
+
+
+class _Arcs:
+    """The candidate arcs of _ssp and its residual graph over them, in CSR
+    form. The nodes are the m sources then the n sinks. The forward arcs
+    i -> m+j, by row then column, carry the reduced cost clipped at 0; a
+    tail of backward arcs m+j -> i, by column then row, carries 0 wherever
+    plan[i, j] > tol, which csgraph reads as edges because they are
+    explicit."""
+
+    def __init__(self, cand: np.ndarray, cost: np.ndarray):
+        from scipy.sparse import csr_array
+
+        m, n = cand.shape
+        self.m, self.n = m, n
+        flat = np.flatnonzero(cand)
+        self.nnz = nnz = flat.size
+        rows, self.j = np.divmod(flat, n)
+        self.per_row = np.bincount(rows, minlength=m)
+        self.cost = cost.reshape(-1)[flat]
+        col_snk, col_src = np.divmod(np.flatnonzero(cand.T), m)
+        self.col_flat = col_src * n + col_snk
+        self.col_snk = col_snk.astype(np.int32)
+        self.col_src = col_src.astype(np.int32)
+        self.data = np.zeros(2 * nnz)
+        self.indices = np.empty(2 * nnz, dtype=np.int32)
+        self.indices[:nnz] = self.j
+        self.indices[:nnz] += m
+        self.indptr = np.empty(m + n + 1, dtype=np.int32)
+        self.indptr[0] = 0
+        np.cumsum(self.per_row, out=self.indptr[1:m + 1])
+        # residual() hands the buffers to this one graph, which skips the
+        # index checks of the csr_array constructor on every search
+        self.graph = csr_array((m + n, m + n))
+        self.graph.indptr = self.indptr
+
+    def residual(self, u, v, plan_flat, tol):
+        """The residual graph at the potentials u, v, and its forward weights."""
+        nnz, m = self.nnz, self.m
+        fwd = self.data[:nnz]
+        np.subtract(self.cost, np.repeat(u, self.per_row), out=fwd)
+        fwd -= v[self.j]
+        np.maximum(fwd, 0.0, out=fwd)
+        on = plan_flat[self.col_flat] > tol
+        src = self.col_src[on]
+        end = nnz + src.size
+        self.indices[nnz:end] = src
+        np.cumsum(np.bincount(self.col_snk[on], minlength=self.n), out=self.indptr[m + 1:])
+        self.indptr[m + 1:] += nnz
+        self.graph.data = self.data[:end]
+        self.graph.indices = self.indices[:end]
+        return self.graph, fwd
 
 
 def _ssp(cost, a, b, plan, u, v, tol):
-    """Successive shortest paths with potentials on the dense bipartite graph.
+    """Successive shortest paths with potentials on a sparse candidate graph,
+    certified on the dense cost.
 
     Start: on entry every column has a zero reduced cost (the column-min
     duals). One more row reduction gives every row one too without losing
@@ -209,25 +273,49 @@ def _ssp(cost, a, b, plan, u, v, tol):
     lowest-index tight row, then each row that still has supply to its tight
     open columns, in index order. Only the mass left over is augmented.
 
-    Each augmentation runs one compiled multi-source Dijkstra over the
-    residual graph: nodes are the m sources then the n sinks, forward arcs
-    i -> m+j carry the reduced cost, and backward arcs m+j -> i carry 0
-    wherever plan[i, j] > tol. The target is the lowest-index sink that still
-    needs mass at minimum distance d*. The search stops at the least reduced
-    cost from a root to an open sink: that one-arc path bounds d* from above.
-    Dijkstra settles nodes in order of distance, so every node within the
-    cap, the target and its path among them, gets its exact distance and a
-    predecessor on a shortest path. A node past the cap has true distance
-    above d*, so its potential update min(dist, d*) is d* either way.
+    Candidate set: the start's tight arcs plus each row's and each column's
+    CAND least reduced costs at the start. A side of at most CAND points
+    makes every arc a candidate, and then the set is the dense graph. Mass
+    only moves along arcs of the set, so the plan's support stays inside it.
 
-    Invariants, up to rounding: cost - u[:,None] - v[None,:] >= 0
-    everywhere, and zero on every arc with plan > 0. Each augmentation zeroes a remaining supply, a
-    remaining deficit, or a plan entry, so the loop is finite. It ends when
-    no supply or no demand is left; supply left beyond the imbalance that
-    _check_inputs accepts raises TransportSolverError. Returns the number of
-    augmentations.
+    Each augmentation runs one compiled multi-source Dijkstra over the
+    residual graph of the set (see _Arcs). The target is the lowest-index
+    sink that still needs mass at minimum distance d*. The search stops at
+    the least reduced cost of an arc of the set from a root to an open sink:
+    that one-arc path bounds d* from above. Dijkstra settles nodes in order
+    of distance, so every node within the cap, the target and its path among
+    them, gets its exact distance and a predecessor on a shortest path. A
+    node past the cap has distance above d*, so its potential update
+    min(dist, d*) is d* either way.
+
+    The update must not take an arc outside the set below zero: such an arc
+    is a shorter path that the set missed. It lowers the reduced costs of
+    row i by at most d* - min(dist[i], d*), so each row keeps a lower bound
+    on those of its arcs outside the set, and only a row whose bound could
+    go below zero is checked, on its dense row. A row that fails
+    the check takes the failing arcs and its CAND least outside ones, and
+    the search runs again. So every potential update is the one the dense
+    graph gives, and the plans agree with the dense solver's up to ties
+    between equally short paths. If no path of the set reaches an open
+    sink, each root takes an arc to every open sink.
+
+    Certificate: when no supply is left, one dense pass over
+    cost - u[:,None] - v[None,:] checks the duals on the whole cost. An arc
+    below the rounding tolerance would join the set, its row's potential
+    drop to its c-transform min_j cost[i, j] - v[j] and the mass the row
+    shipped go back to the remaining supplies and demands, and the
+    augmentations resume; the row checks above leave nothing for it to find
+    but rounding. Rows and columns of zero mass are left out of the checks:
+    solve_discrete_ot sets their potentials to the c-transform afterwards.
+
+    Invariants, up to rounding: cost - u[:,None] - v[None,:] >= 0 on every
+    arc, and zero on every arc with plan > 0. Each augmentation zeroes a
+    remaining supply, a remaining deficit, or a plan entry, and every other
+    round adds arcs to the set, so the loop is finite. Supply left beyond
+    the imbalance that _check_inputs accepts raises TransportSolverError.
+    Returns the number of augmentations and the number of rounds that added
+    arcs (repairs).
     """
-    from scipy.sparse import csr_array
     from scipy.sparse.csgraph import dijkstra
 
     m, n = cost.shape
@@ -257,52 +345,110 @@ def _ssp(cost, a, b, plan, u, v, tol):
             if a_rem[i] <= tol:
                 break
 
+    rc -= row_min[:, None]
+    cand = tight
+    k = min(CAND, n)
+    np.put_along_axis(cand, np.argpartition(rc, k - 1, axis=1)[:, :k], True, axis=1)
+    k = min(CAND, m)
+    np.put_along_axis(cand, np.argpartition(rc, k - 1, axis=0)[:k], True, axis=0)
+    # zero-mass rows and columns are left out of every check: solve_discrete_ot
+    # sets their potentials to the c-transform afterwards
+    dead = (a <= 0)[:, None] | (b <= 0)
+    # per row, a lower bound on the reduced costs of its arcs outside the set
+    rc[cand | dead] = np.inf
+    lb = np.maximum(rc.min(axis=1), 0.0)
+    del rc
+    cost_max = max(float(cost.max()), -float(cost.min()))
+
+    def rc_tol():
+        """The rounding tolerance of a reduced cost."""
+        return 1e-13 * max(cost_max, float(np.abs(u).max()), float(np.abs(v).max()))
+
+    arcs = _Arcs(cand, cost)
+    plan_flat = plan.reshape(-1)
     iterations = 0
+    repairs = 0
     guard = 50 * (m + n) + 1000
-    # the CSR graph: the m*n forward arcs, whose reduced costs are rewritten
-    # in place, then a tail of backward arcs of weight 0, which csgraph reads
-    # as edges because they are explicit
-    nnz = m * n
-    data = np.zeros(2 * nnz)
-    rc = data[:nnz].reshape(m, n)
-    indices = np.empty(2 * nnz, dtype=np.int32)
-    indices[:nnz] = np.tile(np.arange(m, m + n, dtype=np.int32), m)
-    indptr = np.empty(m + n + 1, dtype=np.int32)
-    indptr[:m + 1] = np.arange(0, nnz + 1, n)
 
     while True:
-        roots = np.flatnonzero(a_rem > tol)
-        if roots.size == 0:
-            break
-        open_snk = np.flatnonzero(b_rem > tol)
-        if open_snk.size == 0:
+        is_root = a_rem > tol
+        is_open = b_rem > tol
+        roots = np.flatnonzero(is_root)
+        open_snk = np.flatnonzero(is_open)
+        if roots.size == 0 or open_snk.size == 0:
             # every sink is full: the supply left is the excess that
             # _check_inputs allows plus at most tol dropped at each sink
             if a_rem.sum() > MASS_RTOL * max(a.sum(), b.sum()) + n * tol:
                 raise TransportSolverError("no augmenting path found; supply exceeds demand?")
-            break
-        iterations += 1
-        if iterations > guard:
-            raise TransportSolverError("transport solver exceeded its augmentation guard")
+            if arcs.nnz == m * n:
+                break
+            slack = cost - u[:, None]
+            slack -= v
+            new = (slack < -rc_tol()) & ~(cand | dead)
+            if not new.any():
+                break
+            # a row holding an arc below zero drops to its c-transform and
+            # returns the mass it shipped
+            repairs += 1
+            cand |= new
+            rows = new.any(axis=1)
+            lb = np.maximum(np.where(cand | dead, np.inf, slack).min(axis=1), 0.0)
+            lb[rows] = 0.0
+            u[rows] = (cost[rows] - v).min(axis=1)
+            shipped = plan[rows]
+            a_rem[rows] += shipped.sum(axis=1)
+            b_rem += shipped.sum(axis=0)
+            plan[rows] = 0.0
+            arcs = _Arcs(cand, cost)
+            continue
 
-        np.subtract(cost, u[:, None], out=rc)
-        rc -= v
-        np.maximum(rc, 0.0, out=rc)
-        snk, src = np.divmod(np.flatnonzero(plan.T > tol), m)
-        end = nnz + src.size
-        indices[nnz:end] = src
-        np.cumsum(np.bincount(snk, minlength=n), out=indptr[m + 1:])
-        indptr[m + 1:] += nnz
-        graph = csr_array((data[:end], indices[:end], indptr), shape=(m + n, m + n))
+        graph, fwd = arcs.residual(u, v, plan_flat, tol)
+        cap = fwd[np.repeat(is_root, arcs.per_row) & is_open[arcs.j]].min(initial=np.inf)
         dist, pred, _ = dijkstra(graph, indices=roots, min_only=True, return_predecessors=True,
-                                 limit=rc[roots][:, open_snk].min())
+                                 limit=cap)
         dist_s, dist_t = dist[:m], dist[m:]
 
         target = int(open_snk[np.argmin(dist_t[open_snk])])
         d_star = dist_t[target]
-        # potential update keeps reduced costs nonnegative and support arcs tight
-        u -= np.minimum(dist_s, d_star)
-        v += np.minimum(dist_t, d_star)
+        if d_star == np.inf:
+            # no candidate path: each root takes an arc to every open sink
+            repairs += 1
+            cand[np.ix_(roots, open_snk)] = True
+            arcs = _Arcs(cand, cost)
+            continue
+        # the potential update u -= min(dist_s, d*), v += min(dist_t, d*)
+        # keeps the set's reduced costs nonnegative and its support arcs
+        # tight, and lowers those of row i's arcs outside the set by at most
+        # d* - min(dist_s[i], d*). A row whose lower bound that may take
+        # below zero is checked on its dense row: an arc that the update
+        # would take below zero is a shorter path that the set missed
+        np.minimum(dist, d_star, out=dist)
+        lb_next = lb - (d_star - dist_s)
+        risk = np.flatnonzero(lb_next < 0)
+        if risk.size:
+            slack = cost[risk] - (u[risk] - dist_s[risk])[:, None]
+            slack -= v + dist_t
+            slack[cand[risk] | dead[risk]] = np.inf
+            low = slack.min(axis=1)
+            below = -rc_tol()
+            short = low < below
+            if short.any():
+                # such a row takes those arcs and its CAND least outside
+                # ones, and the search runs again
+                repairs += 1
+                slack = slack[short]
+                k = min(CAND, n)
+                kth = np.partition(slack, k - 1, axis=1)[:, k - 1:k]
+                cand[risk[short]] |= ((slack <= kth) | (slack < below)) & (slack < np.inf)
+                arcs = _Arcs(cand, cost)
+                continue
+            lb_next[risk] = np.maximum(low, 0.0)
+        lb = lb_next
+        u -= dist_s
+        v += dist_t
+        iterations += 1
+        if iterations > guard:
+            raise TransportSolverError("transport solver exceeded its augmentation guard")
 
         # walk back from the target sink to a root source
         arcs_fwd = []
@@ -336,7 +482,7 @@ def _ssp(cost, a, b, plan, u, v, tol):
         if b_rem[target] < tol:
             b_rem[target] = 0.0
 
-    return iterations
+    return iterations, repairs
 
 
 def check_coupling(coupling: Coupling, mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:

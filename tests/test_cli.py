@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -9,9 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import congested_transport
-from congested_transport.cli import main
+from congested_transport.cli import _csv, main
 
 
 def write(path, text):
@@ -259,6 +261,26 @@ def test_beckmann_flux_overflow_is_one_error_line(tmp_path, capsys, H):
     assert rc == 1
     assert _one_error_line(capsys) == ("error: the flux overflowed the floats by iteration 10: "
                                        "mu and nu are too large to solve for\n")
+
+
+@pytest.mark.parametrize("H, scale", [("quadratic", 1e155), ("monomial 3", 1e140)])
+def test_beckmann_cost_overflow_is_one_error_line(tmp_path, capsys, H, scale):
+    from congested_transport.grids import Grid, ScalarField, save_scalar_csv
+
+    # the flux stays finite through the loop, but the cost and dual sums
+    # after it overflow: one error, with no numpy warning and no report
+    g = Grid(nx=8, ny=8, h=0.125)
+    mu = np.random.default_rng(0).random((8, 8)) * scale
+    save_scalar_csv(ScalarField(mu, g), tmp_path / "mu.csv")
+    save_scalar_csv(ScalarField(np.full((8, 8), mu.sum() / 64), g), tmp_path / "nu.csv")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["beckmann", "--mu", str(tmp_path / "mu.csv"), "--nu", str(tmp_path / "nu.csv"),
+                   "--H", H, "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert _one_error_line(capsys) == ("error: the flow cost overflowed the floats: "
+                                       "mu and nu are too large to solve for\n")
+    assert not (tmp_path / "run" / "report.json").exists()
 
 
 def test_ot_mass_balance_is_relative(tmp_path, capsys):
@@ -965,3 +987,27 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+_SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(arr=hnp.arrays(float, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=7),
+                      elements=st.one_of(st.sampled_from(_SPECIAL), st.floats())))
+def test_csv_writes_the_bytes_of_the_plain_format(arr):
+    # +0.0 is written without formatting; every field must still be the
+    # '.17g' text of its value, -0.0, subnormals, infinities and nan included
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "a.csv"
+        _csv(path, arr, header=["x", "y"])
+        written = path.read_bytes()
+    rows = np.atleast_2d(arr)
+    assert written == ("#x,y\n" + "".join(",".join(f"{x:.17g}" for x in row) + "\n"
+                                          for row in rows)).encode()
+
+
+def test_csv_writes_integers_as_before(tmp_path):
+    arr = np.array([[0], [3], [-2], [0]])
+    _csv(tmp_path / "a.csv", arr)
+    assert (tmp_path / "a.csv").read_text() == "0\n3\n-2\n0\n"

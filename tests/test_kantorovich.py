@@ -16,6 +16,7 @@ from congested_transport.errors import (
     TransportSolverError,
 )
 from congested_transport.kantorovich import (
+    CAND,
     MASS_RTOL,
     DiscreteMeasure,
     _ssp,
@@ -384,10 +385,10 @@ def _transport_problems(draw):
     return a, b, cost
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(problem=_transport_problems())
-def test_solve_discrete_ot_certifies_optimality(problem):
-    a, b, cost = problem
+def _assert_optimal(a, b, cost):
+    """solve_discrete_ot's plan meets the marginals, its duals are feasible
+    and complementary on the full cost, and its value is the linear
+    program's."""
     res = solve_discrete_ot(DiscreteMeasure(weights=a), DiscreteMeasure(weights=b), cost)
     plan, phi, psi = res.coupling.plan, res.potentials.phi, res.potentials.psi
     assert plan.min() >= 0.0
@@ -399,6 +400,83 @@ def test_solve_discrete_ot_certifies_optimality(problem):
     assert np.abs(slack[plan > 0]).max(initial=0.0) <= scale
     assert abs(res.value - res.dual_value) <= 1e-12 * (1.0 + abs(res.value))
     assert res.value == pytest.approx(_linprog_value(a, b, cost), abs=1e-9)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(problem=_transport_problems())
+def test_solve_discrete_ot_certifies_optimality(problem):
+    _assert_optimal(*problem)
+
+
+def _assert_certified(a, b, cost, res):
+    """The value is the linear program's, and the duals certify it on the
+    full cost, not only on the candidate arcs."""
+    assert res.value == pytest.approx(_linprog_value(a, b, cost), rel=1e-12)
+    feas, slack = check_potentials(res.potentials, res.coupling, cost)
+    assert feas <= 1e-12 and slack <= 1e-12
+    assert abs(res.value - res.dual_value) <= 1e-12 * (1.0 + abs(res.value))
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_shifted_clouds_need_arcs_outside_the_start_set(p):
+    # every source's nearest sinks lie near the corner (0.5, 0.5), so the
+    # start's candidate arcs miss shorter paths, and arcs must join the set
+    rng = np.random.default_rng(2)
+    a, b = rng.random(40) + 0.5, rng.random(40) + 0.5
+    a /= a.sum()
+    b /= b.sum()
+    mu = DiscreteMeasure(weights=a, points=0.5 * rng.random((40, 2)))
+    nu = DiscreteMeasure(weights=b, points=0.5 + 0.5 * rng.random((40, 2)))
+    cost = lp_cost_matrix(mu, nu, p)
+    res = solve_discrete_ot(mu, nu, cost)
+    _assert_certified(a, b, cost, res)
+    assert res.repairs >= 1
+
+
+def test_no_candidate_path_gives_the_roots_arcs_to_the_open_sinks():
+    # two blocks: rows A and columns C cost below 1, rows B and columns D too,
+    # and every arc between the blocks costs above 10. With more than CAND
+    # columns in C, each row of A has its CAND least reduced costs in C, and
+    # each column of D its CAND least in B, so no candidate arc leaves the A-C
+    # block. A holds more mass than C: once C is full, the roots of A reach
+    # no open sink, and only arcs from A into D can carry the excess 0.2
+    rng = np.random.default_rng(0)
+    k = CAND + 4
+    cost = 10.0 + rng.random((2 * k, 2 * k))
+    cost[:k, :k] = rng.random((k, k))
+    cost[k:, k:] = rng.random((k, k))
+    a = np.repeat([0.6 / k, 0.4 / k], k)
+    b = np.repeat([0.4 / k, 0.6 / k], k)
+    res = solve_discrete_ot(DiscreteMeasure(weights=a), DiscreteMeasure(weights=b), cost)
+    _assert_certified(a, b, cost, res)
+    assert res.coupling.plan[:k, k:].sum() == pytest.approx(0.2, abs=1e-12)
+    assert res.repairs >= 1
+
+
+@st.composite
+def _candidate_graph_problems(draw):
+    """Non-geometric costs with both sides above CAND points: uniform, tied
+    integer, or low-rank plus noise, and weights that may be zero."""
+    m, n = draw(st.integers(CAND + 1, 40)), draw(st.integers(CAND + 1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["uniform", "integer", "low-rank"]))
+    if kind == "uniform":
+        cost = rng.uniform(-5.0, 5.0, (m, n))
+    elif kind == "integer":
+        cost = rng.integers(0, 4, (m, n)).astype(float)
+    else:
+        cost = rng.random((m, 2)) @ rng.random((2, n)) + 0.01 * rng.random((m, n))
+    a = rng.random(m) * (rng.random(m) > draw(st.sampled_from([0.0, 0.3])))
+    b = rng.random(n) * (rng.random(n) > draw(st.sampled_from([0.0, 0.3])))
+    a[0] += 1.0
+    b[-1] += 1.0
+    return a / a.sum(), b / b.sum(), cost
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(problem=_candidate_graph_problems())
+def test_candidate_graph_solves_random_costs(problem):
+    _assert_optimal(*problem)
 
 
 @pytest.mark.parametrize("total", [1e-12, 1.0, 1e12])
