@@ -173,6 +173,14 @@ ANDERSON_PERIOD = 100  # steps between restarts of the history
 ANDERSON_RIDGE = 1e-10  # Tikhonov term of the small least squares, relative to its scale
 
 
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm of all entries, by numpy einsum: a BLAS dot (np.dot,
+    np.linalg.norm) splits long sums among its threads, so its last bits
+    depend on the thread count."""
+    x = x.ravel()
+    return float(np.sqrt(np.einsum("i,i", x, x)))
+
+
 class _Anderson:
     """Type-II Anderson mixing of a fixed-point map G on flat states.
 
@@ -333,8 +341,8 @@ def solve_beckmann(mu: ScalarField, nu: ScalarField, spec: CongestionSpec, grid:
                     converged = True
                     break
                 # residual balancing keeps the two ADMM residuals comparable
-                r_pri = float(np.linalg.norm(rv - q))
-                r_dua = float(rho * np.linalg.norm(dq))
+                r_pri = _norm(rv - q)
+                r_dua = rho * _norm(dq)
                 if r_pri > 10.0 * r_dua and r_dua > 0:
                     factor = 2.0
                 elif r_dua > 10.0 * r_pri and r_pri > 0:
@@ -362,7 +370,7 @@ def solve_beckmann(mu: ScalarField, nu: ScalarField, spec: CongestionSpec, grid:
     with np.errstate(over="ignore", invalid="ignore"):
         q, lam = image
         project(q - lam)  # exact feasibility of the returned flow
-        cost = float(h2 * np.dot(w, spec.H(_cell_rms(*ops.planes(fx, fy)).ravel())))
+        cost = h2 * float(np.einsum("i,i", w, spec.H(_cell_rms(*ops.planes(fx, fy)).ravel())))
 
         # the multiplier eta of R v = q is a subgradient of the objective at q, so
         # (phi, z) fitted to it is near the dual optimum; R^T R = 2I on interior
@@ -373,12 +381,12 @@ def solve_beckmann(mu: ScalarField, nu: ScalarField, spec: CongestionSpec, grid:
         bx, by = ops.div_adjoint(phi)
         z = eta - 0.5 * ops.gather(rx + bx, ry + by)
         s = 2.0 * _cell_rms(*z).ravel() / (h2 * w)  # |z_c|_* / (h^2 w_c), the dual norm
-        dual = -float(np.dot(phi.ravel(), f.ravel()))
+        dual = -float(np.einsum("i,i", phi.ravel(), f.ravel()))
         if spec.p == 1.0:
             # H* is the indicator of s <= 1 + a: scale (phi, z) onto its domain
             dual /= max(1.0, float(s.max(initial=0.0)) / (1.0 + spec.a))
         else:
-            dual -= h2 * float(np.dot(w, spec.conjugate(s)))
+            dual -= h2 * float(np.einsum("i,i", w, spec.conjugate(s)))
         cert_gap = (cost - dual) / max(abs(cost), 1e-300)
     if not (np.isfinite(cost) and np.isfinite(dual) and np.isfinite(cert_gap)):
         raise CongestedTransportError("the flow cost overflowed the floats: "

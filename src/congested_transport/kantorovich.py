@@ -42,6 +42,7 @@ MASS_RTOL = 1e-10
 SUPPORT_EPS = 1e-8
 # candidate arcs per row and per column of the SSP's sparse graph
 CAND = 16
+SELECT_BLOCK = 32  # rows or columns per argpartition of the candidate selection
 
 
 @dataclass
@@ -262,6 +263,18 @@ class _Arcs:
         return self.graph, fwd
 
 
+def _mark_least(mask, values) -> None:
+    """Set mask at each row's CAND least values, SELECT_BLOCK rows at a
+    time: argpartition returns an int64 index for every entry it is given,
+    so a block keeps that temporary small where a whole matrix of them would
+    be as large as the cost."""
+    k = min(CAND, values.shape[1])
+    for start in range(0, len(values), SELECT_BLOCK):
+        rows = slice(start, start + SELECT_BLOCK)
+        np.put_along_axis(mask[rows], np.argpartition(values[rows], k - 1, axis=1)[:, :k],
+                          True, axis=1)
+
+
 def _ssp(cost, a, b, plan, u, v, tol):
     """Successive shortest paths with potentials on a sparse candidate graph,
     certified on the dense cost.
@@ -347,10 +360,8 @@ def _ssp(cost, a, b, plan, u, v, tol):
 
     rc -= row_min[:, None]
     cand = tight
-    k = min(CAND, n)
-    np.put_along_axis(cand, np.argpartition(rc, k - 1, axis=1)[:, :k], True, axis=1)
-    k = min(CAND, m)
-    np.put_along_axis(cand, np.argpartition(rc, k - 1, axis=0)[:k], True, axis=0)
+    _mark_least(cand, rc)
+    _mark_least(cand.T, rc.T)
     # zero-mass rows and columns are left out of every check: solve_discrete_ot
     # sets their potentials to the c-transform afterwards
     dead = (a <= 0)[:, None] | (b <= 0)

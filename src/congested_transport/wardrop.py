@@ -3,19 +3,25 @@ routings of the demand, certify the equilibrium property of the result, and
 provide an independent reference: one SLSQP solve over explicit path flows
 for both demand kinds (brute_force_equilibrium).
 
-The solver is simplicial decomposition in link-flow space (von Hohenbalken,
-Math. Prog. 1977; Hearn, Lawphongpanich & Ventura, Math. Prog. Study 1987).
-Each iteration finds the all-or-nothing vertex of shortest paths under the
-congestioned metric xi = H'(i), with an exact transport of the marginals when
-the demand is variable, and certifies the iterate by the relative duality gap
-against it. It then minimizes sum_e H exactly over the convex hull of the
-vertices kept so far (the master problem, solved by projected Newton on the
-vertex weights) and drops the vertices whose weight falls to zero.
+The solver is simplicial decomposition (von Hohenbalken, Math. Prog. 1977;
+Hearn, Lawphongpanich & Ventura, Math. Prog. Study 1987). Each iteration
+finds the shortest paths under the congestioned metric xi = H'(i), with an
+exact transport of the marginals when the demand is variable, and certifies
+the iterate by the relative duality gap against them. Fixed demand is
+disaggregated by origin-destination pair (Larsson & Patriksson, Transp. Sci.
+1992): each pair keeps its own simplex of path columns, and an iteration adds
+the pair's shortest path when the pair does not hold it yet. Marginal demand
+keeps one simplex of all-or-nothing (link flow, coupling) vertices. The
+master problem then minimizes sum_e H exactly over the product of the
+simplices (projected Newton on the column weights, with a pivot column in
+each simplex taking up its sum) and drops the columns whose weight falls to
+zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -32,11 +38,14 @@ from .network import Network, _search, enumerate_paths, path_cost, shortest_dist
 
 GAP_DENOM_FLOOR = 1e-12
 MASTER_MAX_ITER = 100  # projected-Newton steps of one master solve
+MASTER_STEPS_PER_ROUND = 2  # its steps within one decomposition round
 MASTER_GAP_TOL = 1e-14  # its relative gap at which it stops
 ARMIJO = 1e-4  # sufficient-decrease fraction of its line search
 ARMIJO_STEPS = 40  # step halvings before the line search gives up
 ROUNDING = 8 * np.finfo(float).eps  # relative change of the value that is rounding
 WEIGHT_FLOOR = 1e-14  # a weight this small counts as zero when a step pushes it down
+KKT_SHIFT = 1e-8  # share of each diagonal added to the master's Newton matrix
+TRIANGLE_BLOCK = 64  # size below which a triangular solve is one LU solve
 CURVATURE_FLOOR = 1e-10  # share of the largest flow under which the master takes H'' at that share
 
 
@@ -168,64 +177,148 @@ def _curvature(costs: EdgeCosts, flows: np.ndarray) -> np.ndarray:
     return (costs.p - 1.0) * np.power(np.maximum(flows, floor), costs.p - 2.0)
 
 
-def _newton_step(hess: np.ndarray, g: np.ndarray, free: np.ndarray) -> np.ndarray:
-    """Newton direction of the master on the free vertices: the bordered KKT
-    system of min g.d + d.hess.d/2 subject to sum(d) = 0, solved by LU."""
-    idx = np.flatnonzero(free)
-    n = len(idx)
-    kkt = np.ones((n + 1, n + 1))
-    kkt[:n, :n] = hess[np.ix_(idx, idx)]
-    kkt[n, n] = 0.0
-    diag = np.arange(n)
-    # rank-deficient Hessians (linear edges, dependent vertices) stay solvable
-    kkt[diag, diag] += 1e-12 * kkt[diag, diag].max() or 1e-12
-    step = np.zeros(len(g))
-    step[idx] = np.linalg.solve(kkt, np.append(-g[idx], 0.0))[:n]
-    return step
+def _lower_solve(L: np.ndarray, B: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """Solve L X = B, or L^T X = B, for lower-triangular L by halves, so the
+    work is matrix products. numpy has no triangular solve, and scipy's would
+    load a second BLAS library into the process."""
+    n = len(L)
+    if n <= TRIANGLE_BLOCK:
+        return np.linalg.solve(L.T if transpose else L, B)
+    h = n // 2
+    if transpose:
+        low = _lower_solve(L[h:, h:], B[h:], True)
+        return np.concatenate([_lower_solve(L[:h, :h], B[:h] - L[h:, :h].T @ low, True), low])
+    top = _lower_solve(L[:h, :h], B[:h])
+    return np.concatenate([top, _lower_solve(L[h:, h:], B[h:] - L[h:, :h] @ top)])
 
 
-def _solve_master(V: np.ndarray, w: np.ndarray, flows: np.ndarray, costs: EdgeCosts):
-    """Minimize sum_e H_e((V^T w)_e) over the weight simplex by projected Newton.
+def _gram(V, c: np.ndarray) -> np.ndarray:
+    """V diag(c) V^T as a dense array, for V dense or scipy-sparse CSR."""
+    if isinstance(V, np.ndarray):
+        return (V * c) @ V.T
+    return (type(V)((V.data * c[V.indices], V.indices, V.indptr), shape=V.shape) @ V.T).toarray()
 
-    ``V`` holds one vertex flow per row and ``flows`` is V^T w. A step solves
-    the bordered KKT system of the quadratic model on the free set: the
-    vertices with weight above WEIGHT_FLOOR, and those below it whose gradient
-    is under the weighted mean and which the step does not push down. The
-    step is cut at the first weight it takes to zero and halved until it
-    passes the Armijo test. A step that keeps the value within rounding of the
-    lowest one reached and moves its linear model by rounding only is taken
-    as well; unless it zeroed a weight, the solve then goes on only while the
-    gap falls. Returns the weights, the flows and the value; the flows object
-    is returned unchanged when no step was taken.
-    """
-    value = base = float(np.sum(costs.H(flows)))
-    last_gap = np.inf
-    for _ in range(MASTER_MAX_ITER):
-        g = V @ costs.g(flows)
-        mean = float(g @ w)
-        gap = mean - g.min()
-        if gap <= MASTER_GAP_TOL * (1.0 + abs(value)) or gap >= last_gap:
-            break
-        free = (w > WEIGHT_FLOOR) | (g < mean)
-        hess = (V * _curvature(costs, flows)) @ V.T
+
+class _NewtonSystem:
+    """The master's Newton system on one free set, reduced to the free
+    columns other than each group's pivot: its free column of largest weight,
+    whose weight takes up the changes of the others, d_pivot = -sum d_other.
+    Its matrix R = D diag(H'') D^T, where D holds those columns' flows less
+    their pivots', plus KKT_SHIFT of each diagonal, is factored by
+    Cholesky."""
+
+    def __init__(self, V, curvature: np.ndarray, w: np.ndarray, free: np.ndarray,
+                 groups: np.ndarray, n_groups: int):
+        idx = np.flatnonzero(free)
+        idx = idx[np.lexsort((-w[idx], groups[idx]))]  # by group, largest weight first
+        lead = np.append(True, groups[idx[1:]] != groups[idx[:-1]])
+        self.pivot = np.zeros(n_groups, dtype=np.intp)
+        self.pivot[groups[idx[lead]]] = idx[lead]  # every group has a free column
+        self.other = other = np.sort(idx[~lead])
+        self.groups, self.n_groups = groups, n_groups
+        R = _gram(V[other] - V[self.pivot[groups[other]]], curvature)
+        diag = R.diagonal().copy()
+        # each diagonal grows by KKT_SHIFT of itself, a zero one (a column
+        # that differs from its pivot on linear edges only) by KKT_SHIFT of
+        # the largest: rank-deficient Hessians (linear edges, columns whose
+        # differences cancel on every edge) stay positive definite, and a
+        # steep empty edge with p < 2 in one column does not damp the step of
+        # another
+        largest = diag.max(initial=0.0) or 1.0
+        R[np.diag_indices_from(R)] += KKT_SHIFT * np.where(diag > 0, diag, largest)
+        self.factor = np.linalg.cholesky(R)
+
+    def step(self, g: np.ndarray, w: np.ndarray, hold: np.ndarray) -> np.ndarray | None:
+        """Newton direction for gradient g, or None when a pivot has weight
+        at most WEIGHT_FLOOR. The columns in ``hold`` stay at zero, and so
+        does each column of weight at most WEIGHT_FLOOR that the direction
+        pushes down; a held column x_j = 0 borders the system by one row,
+        and one solve by the factor serves the gradient and all of them."""
+        if (w[self.pivot] <= WEIGHT_FLOOR).any():
+            return None
+        other, groups = self.other, self.groups
+        at_zero = np.flatnonzero(w[other] <= WEIGHT_FLOOR)
+        rhs = np.zeros((len(other), 1 + len(at_zero)))
+        rhs[:, 0] = g[self.pivot[groups[other]]] - g[other]
+        rhs[at_zero, 1 + np.arange(len(at_zero))] = 1.0
+        solved = _lower_solve(self.factor, _lower_solve(self.factor, rhs), transpose=True)
+        x = first = solved[:, 0]
+        held = hold[other[at_zero]]
         while True:
-            step = _newton_step(hess, g, free)
-            push = np.where(w > WEIGHT_FLOOR, 0.0, np.minimum(step, 0.0))
+            if held.any():
+                y = solved[:, 1:][:, held]
+                x = first - y @ np.linalg.solve(y[at_zero[held]], first[at_zero[held]])
+                x[at_zero[held]] = 0.0
+            push = ~held & (x[at_zero] < 0)
             if not push.any():
                 break
-            free[np.argmin(push)] = False  # it enters on a later step, if at all
-        down = np.flatnonzero(step < 0)
-        if not len(down):
+            held = held | push
+        step = np.zeros(len(g))
+        step[other] = x
+        step[self.pivot] = -np.bincount(groups[other], x, self.n_groups)
+        return step
+
+
+def _solve_master(V, w: np.ndarray, flows: np.ndarray, costs: EdgeCosts,
+                  groups: np.ndarray | None = None, max_steps: int = MASTER_MAX_ITER):
+    """Minimize sum_e H_e((V^T w)_e) over the product of the weight simplices
+    of the column groups (one simplex when ``groups`` is None) by projected
+    Newton.
+
+    ``V`` holds one column flow per row, as a dense array or a scipy-sparse
+    CSR one, and ``flows`` is V^T w. A step solves the Newton system of the
+    quadratic model (_NewtonSystem) on the free set: the columns with weight
+    above WEIGHT_FLOOR, and those below it whose gradient is under their
+    group's weighted mean and which the step does not push down. Every other
+    step reuses the factor of the step before it, and factors afresh when
+    that gives no descent. The weights move by the step, clipped at zero and
+    rescaled to each group's sum of 1; the step is cut so that no weight
+    moves by more than 1, then halved until the move passes the Armijo test.
+    A move that keeps the value within rounding of the lowest one reached and
+    moves its linear model by rounding only is taken as well; unless it
+    clipped a weight or came from a reused factor, the solve then goes on
+    only while the gap falls. The gap is the sum over the groups of the
+    weighted mean gradient less the least one. The solve stops at a relative
+    gap of MASTER_GAP_TOL or after ``max_steps`` steps. Returns the weights,
+    the flows and the value; the flows object is returned unchanged when no
+    step was taken.
+    """
+    if groups is None:
+        groups, n_groups = np.zeros(len(w), dtype=np.intp), 1
+    else:
+        labels, groups = np.unique(groups, return_inverse=True)
+        n_groups = len(labels)
+    VT = V.T
+    value = base = float(np.sum(costs.H(flows)))
+    last_gap = np.inf
+    system = None
+    for _ in range(max_steps):
+        g = V @ costs.g(flows)
+        mean = np.bincount(groups, g * w, n_groups)
+        low = np.full(n_groups, np.inf)
+        np.minimum.at(low, groups, g)
+        gap = float(np.sum(mean - low))
+        if gap <= MASTER_GAP_TOL * (1.0 + abs(value)) or gap >= last_gap:
             break
-        ratios = w[down] / -step[down]
-        block = down[np.argmin(ratios)]
-        t = t_full = min(1.0, float(ratios.min()))
+        free = (w > WEIGHT_FLOOR) | (g < mean[groups])
+        step = None if system is None else system.step(g, w, ~free)
+        reused = step is not None and (step < 0).any()
+        if reused:
+            system = None  # the next step factors afresh
+        else:
+            system = _NewtonSystem(V, _curvature(costs, flows), w, free, groups, n_groups)
+            step = system.step(g, w, ~free)
+            if not (step < 0).any():
+                break
+        # a weight moves by at most 1: a longer step (along linear edges)
+        # only clips more weights, and halving it would take long
+        t = min(1.0, 1.0 / float(np.abs(step).max()))
         rounding = ROUNDING * (1.0 + abs(value))
         for _ in range(ARMIJO_STEPS):
-            w_new = np.maximum(w + t * step, 0.0)
-            if t * step[block] <= -w[block]:
-                w_new[block] = 0.0
-            flows_new = V.T @ w_new
+            moved = w + t * step
+            w_new = np.maximum(moved, 0.0)
+            w_new /= np.bincount(groups, w_new, n_groups)[groups]
+            flows_new = VT @ w_new
             v_new = float(np.sum(costs.H(flows_new)))
             change = float(g @ (w_new - w))
             descent = v_new < value + ARMIJO * change
@@ -236,24 +329,26 @@ def _solve_master(V: np.ndarray, w: np.ndarray, flows: np.ndarray, costs: EdgeCo
             break  # no step lowers the value: what is left of the gap is rounding
         w, flows, value = w_new, flows_new, v_new
         base = min(base, value)
-        # after a step of rounding size that zeroed no weight, go on only
-        # while the gap falls
-        last_gap = np.inf if descent or t == t_full < 1.0 else gap
+        # after a move of rounding size that clipped no weight, from a fresh
+        # factor, go on only while the gap falls
+        last_gap = np.inf if descent or reused or (moved < 0).any() else gap
     return w, flows, value
 
 
 def _simplicial_decomposition(net, spec, demand, tol, max_iter):
-    """Simplicial decomposition over the polytope of (link flow, coupling)
-    pairs: a Frank-Wolfe vertex per iteration, then the exact master over the
-    hull of the vertices kept so far."""
+    """Simplicial decomposition: new columns at the shortest paths of each
+    iteration, then the exact master over the columns kept so far.
+
+    Fixed demand is disaggregated: each origin-destination pair with positive
+    demand has its own simplex of path columns, and an iteration adds the
+    pair's witness shortest path, carrying all of its demand, when the pair
+    does not hold that path already. Marginal demand has one simplex of
+    (link flow, coupling) vertices, the all-or-nothing routing of an optimal
+    coupling for the shortest distances."""
     costs = EdgeCosts(spec, net.n_edges)
     n_s, n_d = len(net.sources), len(net.dests)
-
-    if demand.kind == "fixed":
-        gamma_fixed = demand.gamma
-        total = float(gamma_fixed.sum())
-    else:
-        total = float(demand.mu.sum())
+    fixed = demand.kind == "fixed"
+    total = float(demand.gamma.sum() if fixed else demand.mu.sum())
 
     # no edge carries more than the total demand, so the objective and the
     # linear term of the gap, summed over all edges at that flow, bound every
@@ -266,21 +361,46 @@ def _simplicial_decomposition(net, spec, demand, tol, max_iter):
         raise InputFormatError(f"demand total {total!r} overflows the edge costs: "
                                f"H or t H'(t) summed over all edges at that flow is not finite")
 
-    def direction_vertex(xi):
-        """Best all-or-nothing vertex at metric xi plus the linearized value."""
+    from scipy.sparse import csr_array
+
+    if fixed:
+        used = demand.gamma > 0
+        pairs = np.argwhere(used).tolist()
+        mass = demand.gamma[used]
+
+    def candidates(xi):
+        """The linearized value at metric xi and the columns it offers, as
+        (group, column): each pair's witness path as an edge-id tuple, or the
+        marginals' (all-or-nothing flow, flattened coupling)."""
         table = shortest_distances(net, xi)
         dmat = table.matrix
-        if demand.kind == "fixed":
-            gamma = gamma_fixed
-        else:
-            gamma = _optimal_coupling(net, dmat, demand.mu, demand.nu).coupling.plan
-        lp_value = float(np.sum(dmat[gamma > 0] * gamma[gamma > 0]))
-        return _route(net, table, gamma), gamma, lp_value
+        if fixed:
+            _raise_stuck(net, used & np.isinf(dmat))
+            return (float(np.sum(dmat[used] * mass)),
+                    [(k, table.witness(si, di)) for k, (si, di) in enumerate(pairs)])
+        plan = _optimal_coupling(net, dmat, demand.mu, demand.nu).coupling.plan
+        return (float(np.sum(dmat[plan > 0] * plan[plan > 0])),
+                [(0, (_route(net, table, plan), plan.ravel()))])
 
-    flows, gamma_cur, _ = direction_vertex(costs.g(np.zeros(net.n_edges)))
-    V = flows[None, :]  # vertex link flows, one per row
-    G = gamma_cur.reshape(1, -1)  # their couplings, flattened
-    w = np.ones(1)
+    def column_matrix():
+        """The flows of the columns, one per row: sparse paths carrying their
+        pair's demand, or dense vertices."""
+        if not fixed:
+            return np.array([flow for _, (flow, _) in columns])
+        indptr = np.zeros(len(columns) + 1, dtype=np.intp)
+        np.cumsum([len(path) for _, path in columns], out=indptr[1:])
+        edges = np.fromiter(chain.from_iterable(path for _, path in columns), np.intp, indptr[-1])
+        loads = np.repeat(mass[[k for k, _ in columns]], np.diff(indptr))
+        return csr_array((loads, edges, indptr), shape=(len(columns), net.n_edges))
+
+    def coupling():
+        if fixed:
+            return demand.gamma.copy()
+        return (np.array([plan for _, (_, plan) in columns]).T @ w).reshape(n_s, n_d)
+
+    columns = candidates(costs.g(np.zeros(net.n_edges)))[1]
+    w = np.ones(len(columns))
+    flows = column_matrix().T @ w
     value = float(np.sum(costs.H(flows)))
 
     rel_gap = np.inf
@@ -289,28 +409,31 @@ def _simplicial_decomposition(net, spec, demand, tol, max_iter):
     gap_hist: list[float] = []
     for it in range(1, max_iter + 1):
         xi = costs.g(flows)
-        fw_flows, fw_gamma, lp_value = direction_vertex(xi)
+        lp_value, offered = candidates(xi)
         rel_gap = (float(np.dot(xi, flows)) - lp_value) / max(lp_value, GAP_DENOM_FLOOR)
         obj_hist.append(value)
         gap_hist.append(rel_gap)
         if rel_gap <= tol:
-            return EquilibriumResult(flows, gamma_cur, xi, value, rel_gap, it - 1, True,
+            return EquilibriumResult(flows, coupling(), xi, value, rel_gap, it - 1, True,
                                      objective_history=obj_hist, gap_history=gap_hist)
-        V = np.vstack([V, fw_flows])
-        G = np.vstack([G, fw_gamma.reshape(1, -1)])
-        w, flows_new, value = _solve_master(V, np.append(w, 0.0), flows, costs)
+        held = set(columns) if fixed else ()
+        offered = [c for c in offered if c not in held]
+        columns += offered
+        w = np.append(w, np.zeros(len(offered)))
+        w, flows_new, value = _solve_master(column_matrix(), w, flows, costs,
+                                            np.array([k for k, _ in columns]),
+                                            MASTER_STEPS_PER_ROUND)
         if flows_new is flows:
-            break  # the new vertex does not help: the master is stuck at rounding
+            break  # the new columns do not help: the master is stuck at rounding
         flows = flows_new
-        keep = w > 0
-        V, G, w = V[keep], G[keep], w[keep]
-        gamma_cur = (G.T @ w).reshape(n_s, n_d)
+        columns = [c for c, keep in zip(columns, w > 0) if keep]
+        w = w[w > 0]
 
     xi = costs.g(flows)
-    _, _, lp_value = direction_vertex(xi)
+    lp_value, _ = candidates(xi)
     rel_gap = (float(np.dot(xi, flows)) - lp_value) / max(lp_value, GAP_DENOM_FLOOR)
     converged = rel_gap <= tol
-    return EquilibriumResult(flows, gamma_cur, xi, value, rel_gap, it, converged,
+    return EquilibriumResult(flows, coupling(), xi, value, rel_gap, it, converged,
                              objective_history=obj_hist, gap_history=gap_hist)
 
 
