@@ -171,6 +171,7 @@ def _cmd_ot(args) -> int:
                       "dual_value": res.dual_value,
                       "iterations": res.iterations,
                       "repairs": res.repairs,
+                      "searches": res.searches,
                       "duality_gap_rel": abs(res.value - res.dual_value) / (1 + abs(res.value)),
                   }, t0)
     return 0
@@ -393,10 +394,13 @@ def _cmd_selftest(args) -> int:
     # one-dimensional W1 against the closed form: the integral of |F - G|
     # over the merged support. On 5 points the tight-arc start leaves two
     # augmentations; 40 points, more than CAND a side, run on the candidate
-    # graph and its certificate
+    # graph and its certificate; on 200 points every path between two points
+    # ties at p = 1, and each search feeds many augmentations
     for name, wa, wb in [
             ("one-dimensional transport", np.array([1, 3, 1, 2, 1]), np.array([2, 1, 1, 1, 3])),
-            ("one-dimensional transport, 40 points", *np.random.default_rng(5).random((2, 40)))]:
+            ("one-dimensional transport, 40 points", *np.random.default_rng(5).random((2, 40))),
+            ("one-dimensional transport, 200 points",
+             *np.random.default_rng(5).random((2, 200)))]:
         x, y = np.arange(wa.size, dtype=float), np.arange(wb.size) + 0.5
         mu = kantorovich.DiscreteMeasure(weights=wa / wa.sum(), points=x[:, None])
         nu = kantorovich.DiscreteMeasure(weights=wb / wb.sum(), points=y[:, None])

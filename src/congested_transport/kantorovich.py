@@ -8,19 +8,22 @@ algorithm for dense optimal transport", J. Math. Imaging Vis. 2016). It
 starts from the row- and column-reduction duals of Jonker & Volgenant
 (Computing 1987) and routes mass along their zero-reduced-cost arcs first,
 so only what is left needs augmenting paths. The graph holds the start's
-tight arcs and each row's and each column's CAND least reduced costs. Each
-augmentation is one compiled Dijkstra (scipy.sparse.csgraph) on it, stopped
-at a distance that the target sink lies within; a row whose arcs outside
-the set the potential update could take below zero is checked on the dense
-cost first, and the arcs that would go below zero join the set before the
-search runs again. When no supply is left, one dense reduced-cost pass
-certifies the duals on the whole cost, and a row that fails it drops to its
-c-transform and routes its mass again. The solver maintains dual
-feasibility and complementary slackness throughout, so the returned
-potentials certify optimality by strong duality. scipy.sparse is imported
-on first use, so importing the package does not load it. Hotelling demands and prices are
-taken for the cost |x - y|^p between firm and consumer coordinates. The
-'.pts' format of measures and firm files is read by ``parse_points`` alone.
+tight arcs and each row's and each column's CAND least reduced costs. The
+rest moves in phases, the primal-dual form of SSP: one compiled Dijkstra
+(scipy.sparse.csgraph) on the graph moves the potentials by the distances
+capped at the farthest open sink it reached, and every open sink it reached
+then takes mass along its tree path, so one search feeds many
+augmentations. A row whose arcs outside the set the potential update could
+take below zero is checked on the dense cost first, and the arcs that would
+go below zero join the set before the search runs again. When no supply is
+left, one dense reduced-cost pass certifies the duals on the whole cost,
+and a row that fails it drops to its c-transform and routes its mass
+again. The solver maintains dual feasibility and complementary slackness
+throughout, so the returned potentials certify optimality by strong
+duality. scipy.sparse is imported on first use, so importing the package
+does not load it. Hotelling demands and prices are taken for the cost
+|x - y|^p between firm and consumer coordinates. The '.pts' format of
+measures and firm files is read by ``parse_points`` alone.
 """
 
 from __future__ import annotations
@@ -108,6 +111,7 @@ class OTResult:
     dual_value: float
     iterations: int  # augmentations
     repairs: int  # rounds that added arcs to the SSP's candidate set
+    searches: int  # Dijkstra searches, each feeding one or more augmentations
 
 
 def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -180,7 +184,7 @@ def solve_discrete_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, cost) -> OTResul
     if total <= 0:
         phi = np.zeros(m)
         psi = cost.min(axis=0) if m else np.zeros(n)
-        return OTResult(Coupling(plan), PotentialPair(phi, psi), 0.0, 0.0, 0, 0)
+        return OTResult(Coupling(plan), PotentialPair(phi, psi), 0.0, 0.0, 0, 0, 0)
 
     tol = 1e-13 * total
 
@@ -188,7 +192,7 @@ def solve_discrete_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, cost) -> OTResul
     u = cost.min(axis=1).astype(float)
     v = (cost - u[:, None]).min(axis=0)
 
-    it, repairs = _ssp(cost, a, b, plan, u, v, tol)
+    it, repairs, searches = _ssp(cost, a, b, plan, u, v, tol)
 
     # zero-mass nodes carry no constraints; tighten them onto the c-transform
     dead_src = mu.weights <= 0
@@ -208,7 +212,7 @@ def solve_discrete_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, cost) -> OTResul
         dual = float(np.dot(mu.weights, u) + np.dot(nu.weights, v))
     if not (np.isfinite(value) and np.isfinite(dual)):
         raise NonFiniteCostError("the transport value overflows")
-    return OTResult(Coupling(plan), PotentialPair(u, v), value, dual, it, repairs)
+    return OTResult(Coupling(plan), PotentialPair(u, v), value, dual, it, repairs, searches)
 
 
 class _Arcs:
@@ -291,19 +295,26 @@ def _ssp(cost, a, b, plan, u, v, tol):
     makes every arc a candidate, and then the set is the dense graph. Mass
     only moves along arcs of the set, so the plan's support stays inside it.
 
-    Each augmentation runs one compiled multi-source Dijkstra over the
-    residual graph of the set (see _Arcs). The target is the lowest-index
-    sink that still needs mass at minimum distance d*. The search stops at
-    the least reduced cost of an arc of the set from a root to an open sink:
-    that one-arc path bounds d* from above. Dijkstra settles nodes in order
-    of distance, so every node within the cap, the target and its path among
-    them, gets its exact distance and a predecessor on a shortest path. A
-    node past the cap has distance above d*, so its potential update
-    min(dist, d*) is d* either way.
+    Phases: each runs one compiled multi-source Dijkstra over the residual
+    graph of the set (see _Arcs) from the roots, the sources with supply
+    left. The search stops at the cap, the least reduced cost of an arc of
+    the set from a root to an open sink, which puts that sink within it.
+    Dijkstra settles nodes in order of distance, so every node within the
+    cap gets its exact distance and a predecessor on a shortest path. The
+    phase's reach D is the distance of the farthest open sink reached (at
+    most the cap), and the potentials move by min(dist, D): a node past the
+    cap has distance above D, so its update is D either way. That keeps
+    every reduced cost nonnegative and makes every arc of the search forest
+    within D tight, so each open sink reached takes mass along its tree
+    path from its root, in order of distance, then index. The bottleneck
+    of each path (its root's supply, its sink's demand and the plan on its
+    backward arcs) is read when its turn comes: the first is positive, and
+    a later path that an earlier one emptied is skipped. A reach below the
+    cap moves the potentials less, so fewer rows need the check below.
 
     The update must not take an arc outside the set below zero: such an arc
     is a shorter path that the set missed. It lowers the reduced costs of
-    row i by at most d* - min(dist[i], d*), so each row keeps a lower bound
+    row i by at most D - min(dist[i], D), so each row keeps a lower bound
     on those of its arcs outside the set, and only a row whose bound could
     go below zero is checked, on its dense row. A row that fails
     the check takes the failing arcs and its CAND least outside ones, and
@@ -323,11 +334,12 @@ def _ssp(cost, a, b, plan, u, v, tol):
 
     Invariants, up to rounding: cost - u[:,None] - v[None,:] >= 0 on every
     arc, and zero on every arc with plan > 0. Each augmentation zeroes a
-    remaining supply, a remaining deficit, or a plan entry, and every other
-    round adds arcs to the set, so the loop is finite. Supply left beyond
-    the imbalance that _check_inputs accepts raises TransportSolverError.
-    Returns the number of augmentations and the number of rounds that added
-    arcs (repairs).
+    remaining supply, a remaining deficit, or a plan entry, each phase makes
+    at least one, and every other round adds arcs to the set, so the loop
+    is finite. Supply left beyond the imbalance that _check_inputs accepts
+    raises TransportSolverError. Returns the number of augmentations, the
+    number of rounds that added arcs (repairs) and the number of Dijkstra
+    searches.
     """
     from scipy.sparse.csgraph import dijkstra
 
@@ -379,6 +391,7 @@ def _ssp(cost, a, b, plan, u, v, tol):
     plan_flat = plan.reshape(-1)
     iterations = 0
     repairs = 0
+    searches = 0
     guard = 50 * (m + n) + 1000
 
     while True:
@@ -417,24 +430,26 @@ def _ssp(cost, a, b, plan, u, v, tol):
         cap = fwd[np.repeat(is_root, arcs.per_row) & is_open[arcs.j]].min(initial=np.inf)
         dist, pred, _ = dijkstra(graph, indices=roots, min_only=True, return_predecessors=True,
                                  limit=cap)
+        searches += 1
         dist_s, dist_t = dist[:m], dist[m:]
 
-        target = int(open_snk[np.argmin(dist_t[open_snk])])
-        d_star = dist_t[target]
-        if d_star == np.inf:
+        d_open = dist_t[open_snk]
+        reached = np.isfinite(d_open)
+        if not reached.any():
             # no candidate path: each root takes an arc to every open sink
             repairs += 1
             cand[np.ix_(roots, open_snk)] = True
             arcs = _Arcs(cand, cost)
             continue
-        # the potential update u -= min(dist_s, d*), v += min(dist_t, d*)
-        # keeps the set's reduced costs nonnegative and its support arcs
-        # tight, and lowers those of row i's arcs outside the set by at most
-        # d* - min(dist_s[i], d*). A row whose lower bound that may take
-        # below zero is checked on its dense row: an arc that the update
-        # would take below zero is a shorter path that the set missed
-        np.minimum(dist, d_star, out=dist)
-        lb_next = lb - (d_star - dist_s)
+        reach = d_open[reached].max()
+        # with D = reach, the potential update u -= min(dist_s, D),
+        # v += min(dist_t, D) keeps the set's reduced costs nonnegative and
+        # its support arcs tight, and lowers those of row i's arcs outside
+        # the set by at most D - min(dist_s[i], D). A row whose lower bound
+        # that may take below zero is checked on its dense row: an arc that
+        # the update would take below zero is a shorter path the set missed
+        np.minimum(dist, reach, out=dist)
+        lb_next = lb - (reach - dist_s)
         risk = np.flatnonzero(lb_next < 0)
         if risk.size:
             slack = cost[risk] - (u[risk] - dist_s[risk])[:, None]
@@ -457,43 +472,47 @@ def _ssp(cost, a, b, plan, u, v, tol):
         lb = lb_next
         u -= dist_s
         v += dist_t
-        iterations += 1
-        if iterations > guard:
-            raise TransportSolverError("transport solver exceeded its augmentation guard")
 
-        # walk back from the target sink to a root source
-        arcs_fwd = []
-        arcs_bwd = []
-        j = target
-        while True:
-            i = int(pred[m + j])
-            arcs_fwd.append((i, j))
-            j_prev = int(pred[i]) - m
-            if j_prev < 0:
-                root = i
-                break
-            arcs_bwd.append((i, j_prev))
-            j = j_prev
+        # each reached open sink, nearest first, takes mass along its tree
+        # path; a path that an earlier one emptied is skipped
+        pred = pred.tolist()
+        for target in open_snk[reached][np.argsort(d_open[reached], kind="stable")].tolist():
+            arcs_fwd = []
+            arcs_bwd = []
+            j = target
+            while True:
+                i = pred[m + j]
+                arcs_fwd.append((i, j))
+                j_prev = pred[i] - m
+                if j_prev < 0:
+                    root = i
+                    break
+                arcs_bwd.append((i, j_prev))
+                j = j_prev
 
-        delta = min(a_rem[root], b_rem[target])
-        for i, j2 in arcs_bwd:
-            delta = min(delta, plan[i, j2])
-        delta = max(delta, 0.0)
+            delta = min(a_rem[root], b_rem[target])
+            for arc in arcs_bwd:
+                delta = min(delta, plan[arc])
+            if delta <= 0.0:
+                continue
+            iterations += 1
+            if iterations > guard:
+                raise TransportSolverError("transport solver exceeded its augmentation guard")
 
-        for i, j2 in arcs_fwd:
-            plan[i, j2] += delta
-        for i, j2 in arcs_bwd:
-            plan[i, j2] -= delta
-            if plan[i, j2] < tol:
-                plan[i, j2] = 0.0
-        a_rem[root] -= delta
-        b_rem[target] -= delta
-        if a_rem[root] < tol:
-            a_rem[root] = 0.0
-        if b_rem[target] < tol:
-            b_rem[target] = 0.0
+            for arc in arcs_fwd:
+                plan[arc] += delta
+            for arc in arcs_bwd:
+                plan[arc] -= delta
+                if plan[arc] < tol:
+                    plan[arc] = 0.0
+            a_rem[root] -= delta
+            b_rem[target] -= delta
+            if a_rem[root] < tol:
+                a_rem[root] = 0.0
+            if b_rem[target] < tol:
+                b_rem[target] = 0.0
 
-    return iterations, repairs
+    return iterations, repairs, searches
 
 
 def check_coupling(coupling: Coupling, mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
@@ -504,11 +523,12 @@ def check_coupling(coupling: Coupling, mu: DiscreteMeasure, nu: DiscreteMeasure)
 
 
 def check_potentials(pot: PotentialPair, coupling: Coupling, cost) -> tuple[float, float]:
-    """(max feasibility violation, max complementary-slackness violation)."""
+    """(max feasibility violation, max complementary-slackness violation).
+    The support is the entries above SUPPORT_EPS of the plan's total mass."""
     cost = np.asarray(cost, dtype=float)
     gap = pot.phi[:, None] + pot.psi[None, :] - cost
     feas = float(gap.max(initial=-np.inf))
-    on_support = coupling.plan > SUPPORT_EPS
+    on_support = coupling.plan > SUPPORT_EPS * coupling.plan.sum()
     slack = float(np.abs(gap[on_support]).max(initial=0.0))
     return feas, slack
 
@@ -544,7 +564,8 @@ def _union_support(mu: DiscreteMeasure, mu1: DiscreteMeasure):
 
 
 def _support_connected(plan: np.ndarray, a: np.ndarray, b: np.ndarray) -> bool:
-    """True when the optimal-plan support graph joins every positive-mass node."""
+    """True when the optimal-plan support graph joins every positive-mass
+    node; the support is the entries above SUPPORT_EPS of the plan's mass."""
     from scipy.sparse import coo_array
     from scipy.sparse.csgraph import connected_components
 
@@ -552,7 +573,7 @@ def _support_connected(plan: np.ndarray, a: np.ndarray, b: np.ndarray) -> bool:
     live = np.concatenate([a > 0, b > 0])
     if not live.any():
         return True
-    ii, jj = np.nonzero(plan > SUPPORT_EPS * max(1.0, plan.sum()))
+    ii, jj = np.nonzero(plan > SUPPORT_EPS * plan.sum())
     support = coo_array((np.ones(ii.size), (ii, m + jj)), shape=(m + n, m + n))
     _, labels = connected_components(support, directed=False)
     return bool(np.all(labels[live] == labels[live][0]))
@@ -651,7 +672,7 @@ def hotelling_recover_prices(firm_points: np.ndarray, demands: np.ndarray,
 
     res = solve_discrete_ot(firms, consumers, cost)
     plan = res.coupling.plan
-    thr = SUPPORT_EPS * max(1.0, total)
+    thr = SUPPORT_EPS * total
 
     # p_j - p_i >= max over consumers served by i of cost[i,x] - cost[j,x]
     bound = np.full((n_firms, n_firms), -np.inf)

@@ -19,6 +19,7 @@ from congested_transport.kantorovich import (
     CAND,
     MASS_RTOL,
     DiscreteMeasure,
+    PotentialPair,
     _ssp,
     check_coupling,
     check_potentials,
@@ -358,7 +359,9 @@ def _linprog_value(a, b, cost):
     rows = np.kron(np.eye(m), np.ones(n))
     cols = np.kron(np.ones(m), np.eye(n))
     res = linprog(cost.ravel(), A_eq=np.vstack([rows, cols]),
-                  b_eq=np.concatenate([a, b]), bounds=(0, None), method="highs")
+                  b_eq=np.concatenate([a, b]), bounds=(0, None), method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
     assert res.status == 0, res.message
     return float(res.fun)
 
@@ -399,7 +402,7 @@ def _assert_optimal(a, b, cost):
     assert slack.min() >= -scale
     assert np.abs(slack[plan > 0]).max(initial=0.0) <= scale
     assert abs(res.value - res.dual_value) <= 1e-12 * (1.0 + abs(res.value))
-    assert res.value == pytest.approx(_linprog_value(a, b, cost), abs=1e-9)
+    assert res.value == pytest.approx(_linprog_value(a, b, cost), rel=1e-12)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -417,20 +420,76 @@ def _assert_certified(a, b, cost, res):
     assert abs(res.value - res.dual_value) <= 1e-12 * (1.0 + abs(res.value))
 
 
-@pytest.mark.parametrize("p", [1.0, 2.0])
-def test_shifted_clouds_need_arcs_outside_the_start_set(p):
-    # every source's nearest sinks lie near the corner (0.5, 0.5), so the
-    # start's candidate arcs miss shorter paths, and arcs must join the set
-    rng = np.random.default_rng(2)
+def _shifted_clouds(seed, p):
+    """40 sources in [0, 0.5]^2 and 40 sinks in [0.5, 1]^2, weights in
+    [0.5, 1.5) normalized, and their cost |x - y|^p."""
+    rng = np.random.default_rng(seed)
     a, b = rng.random(40) + 0.5, rng.random(40) + 0.5
     a /= a.sum()
     b /= b.sum()
     mu = DiscreteMeasure(weights=a, points=0.5 * rng.random((40, 2)))
     nu = DiscreteMeasure(weights=b, points=0.5 + 0.5 * rng.random((40, 2)))
-    cost = lp_cost_matrix(mu, nu, p)
-    res = solve_discrete_ot(mu, nu, cost)
+    return a, b, lp_cost_matrix(mu, nu, p)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_shifted_clouds_need_arcs_outside_the_start_set(p):
+    # every source's nearest sinks lie near the corner (0.5, 0.5), so the
+    # start's candidate arcs miss shorter paths, and arcs must join the set
+    a, b, cost = _shifted_clouds(2, p)
+    res = solve_discrete_ot(DiscreteMeasure(weights=a), DiscreteMeasure(weights=b), cost)
     _assert_certified(a, b, cost, res)
     assert res.repairs >= 1
+
+
+def test_linprog_oracle_is_exact_to_rounding():
+    # at HiGHS's default feasibility tolerances of 1e-7 the oracle returned
+    # 1.3e-9 relative above this optimum, whose plan, duals and gap are exact
+    # to rounding; at 1e-10 it agrees to 1.6e-16
+    a, b, cost = _shifted_clouds(7, 1.0)
+    res = solve_discrete_ot(DiscreteMeasure(weights=a), DiscreteMeasure(weights=b), cost)
+    _assert_certified(a, b, cost, res)
+
+
+def test_one_search_skips_a_path_that_an_earlier_augmentation_emptied(monkeypatch):
+    # the start ships M's 0.25 to T0 and leaves R (2.0) as the only root with
+    # T1 and T2 open. The first search reaches both through R -> T0 <- M at
+    # distance 0: augmenting T1 moves M's 0.25 from T0 to T1 and empties the
+    # backward arc M -> T0, so T2's path is skipped. The second search
+    # reaches T1 directly and T2 through T1 <- M, the third T2 directly:
+    # five paths, four augmentations
+    from scipy.sparse import csgraph
+
+    dijkstra = csgraph.dijkstra
+    reached = []
+
+    def recording(*args, **kwargs):
+        dist, pred, sources = dijkstra(*args, **kwargs)
+        reached.append(np.flatnonzero(np.isfinite(dist[2:])).tolist())
+        return dist, pred, sources
+
+    monkeypatch.setattr(csgraph, "dijkstra", recording)
+    cost = np.array([[0.0, 1.0, 1.5],    # M
+                     [0.0, 3.0, 4.0]])   # R
+    a, b = np.array([0.25, 2.0]), np.array([0.25, 1.0, 1.0])
+    res = solve_discrete_ot(DiscreteMeasure(weights=a), DiscreteMeasure(weights=b), cost)
+    assert reached == [[0, 1, 2], [0, 1, 2], [0, 1, 2]]
+    assert (res.searches, res.iterations, res.repairs) == (3, 4, 0)
+    np.testing.assert_array_equal(res.coupling.plan, [[0.0, 0.0, 0.25], [0.25, 1.0, 0.75]])
+    assert res.value == res.dual_value == 6.375
+    _assert_certified(a, b, cost, res)
+
+
+def test_one_search_feeds_many_augmentations():
+    # the benchmark's 200 x 200 clouds at p = 2: each Dijkstra search
+    # augments every open sink its forest reaches within the cap
+    rng = np.random.default_rng([20101, 3])
+    a, b = rng.uniform(0.5, 1.5, 200), rng.uniform(0.5, 1.5, 200)
+    mu = DiscreteMeasure(weights=a / a.sum(), points=rng.random((200, 2)))
+    nu = DiscreteMeasure(weights=b / b.sum(), points=rng.random((200, 2)))
+    res = solve_discrete_ot(mu, nu, lp_cost_matrix(mu, nu, 2.0))
+    assert res.searches <= 0.5 * res.iterations
+    assert res.value == pytest.approx(0.005513165751876324, rel=1e-15, abs=0.0)
 
 
 def test_no_candidate_path_gives_the_roots_arcs_to_the_open_sinks():
@@ -493,6 +552,36 @@ def test_gateaux_and_hotelling_mass_checks_are_relative(total):
                                 points=np.linspace(0.0, 1.0, 4)[:, None])
     with pytest.raises(MassMismatchError, match="demands must sum to the consumer mass"):
         hotelling_recover_prices(pts, total * np.array([1.0, 1.0]), consumers)
+
+
+@pytest.mark.parametrize("total", [1e-12, 1e-6, 1.0, 1e12])
+def test_support_thresholds_are_relative(total):
+    # each threshold is a share of the total mass, with no absolute floor:
+    # below a floor of 1e-8 these plans had no support at small totals, and
+    # the checks saw nothing, refused a connected plan or lost the prices
+    cost = np.array([[0.0, 1.0], [1.0, 0.0]])
+    w = total * np.array([0.999, 0.001])
+    res = solve_discrete_ot(DiscreteMeasure(weights=w), DiscreteMeasure(weights=w), cost)
+    assert check_potentials(res.potentials, res.coupling, cost) == (0.0, 0.0)
+    broken = PotentialPair(res.potentials.phi - [0.0, 0.3], res.potentials.psi)
+    assert check_potentials(broken, res.coupling, cost) == (0.0, pytest.approx(0.3, abs=1e-15))
+
+    # at total 1e-6 a plan entry of this connected instance is below 1e-8
+    mu, nu, mu1 = (DiscreteMeasure(weights=total * m.weights, points=m.points)
+                   for m in _nondegenerate_instance(6))
+    ref = gateaux_check(*_nondegenerate_instance(6), 2.0, [1e-3])
+    rep = gateaux_check(mu, nu, mu1, 2.0, [1e-3])
+    assert rep.inner == pytest.approx(total * ref.inner, rel=1e-12, abs=0.0)
+    assert rep.err[1e-3] <= 1e-3 * total * (1 + abs(ref.inner))
+
+    # the benchmark's Hotelling prices
+    prices = np.array([0.0, 30.0, -25.0, 5.0]) / 128.0
+    firms = np.arange(4.0)[:, None]
+    consumers = DiscreteMeasure(weights=np.full(769, total / 769),
+                                points=(np.arange(769) / 256.0)[:, None])
+    _, demands = hotelling_demands(firms, prices, consumers)
+    rec = hotelling_recover_prices(firms, demands, consumers)
+    assert np.abs(rec - prices).max() <= 1e-12
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
