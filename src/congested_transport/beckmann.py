@@ -2,6 +2,9 @@
 discrete divergence constraint with no boundary flux, the quadratic case by a
 single Neumann Poisson solve, the weighted-metric duality check against grid
 geodesics, rasterized transport densities, and trajectory reconstruction.
+The exact transport value of a grid density (``field_transport_value``, which
+``field_w1`` and ``urbanplan.eval_total`` call) runs on block sums placed at
+block centers (``block_points``), at most EXACT_OT_MAX_POINTS per density.
 
 Discretization: fluxes live on faces; the objective co-locates the four face
 values of each cell by the root-mean-square norm of grids, which reproduces
@@ -41,13 +44,14 @@ import numpy as np
 from .congestion import CongestionSpec
 from .errors import (
     CongestedTransportError,
+    InputFormatError,
     MassMismatchError,
     PointOutsideDomainError,
     ShapeMismatchError,
     SingularSystemError,
 )
-from .grids import Grid, ScalarField, VectorField, _cell_rms
-from .kantorovich import Coupling, DiscreteMeasure, pairwise_distances, solve_discrete_ot
+from .grids import Grid, ScalarField, VectorField, _cell_rms, _divergence
+from .kantorovich import Coupling, DiscreteMeasure, lp_cost_matrix, solve_discrete_ot
 
 
 class _StaggeredOps:
@@ -86,11 +90,7 @@ class _StaggeredOps:
 
     def div(self, fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
         """B v: the cell divergence, boundary faces carrying no flux."""
-        d = fx[1:] - fx[:-1]
-        d += fy[:, 1:]
-        d -= fy[:, :-1]
-        d /= self.h
-        return d
+        return _divergence(fx, fy, self.h)
 
     def div_adjoint(self, x: np.ndarray, out=None):
         """B^T x: minus the face gradient of a cell field."""
@@ -689,38 +689,43 @@ def cloud_to_field(points: np.ndarray, weights: np.ndarray, grid: Grid) -> Scala
     return ScalarField(vals, grid)
 
 
-def coarsen_field(field: ScalarField, factor: int) -> ScalarField:
-    """Block-average a field onto a grid coarsened by an integer factor."""
+# block_points sums a grid density over square blocks until it has at most
+# this many blocks, so that an exact transport between densities stays small.
+EXACT_OT_MAX_POINTS = 600
+
+
+def block_points(field: ScalarField) -> DiscreteMeasure:
+    """The mass of a grid density summed over square blocks of 2^k cells a
+    side, k the least that leaves at most EXACT_OT_MAX_POINTS blocks, each sum
+    placed at its block's center; blocks with no mass are left out."""
     g = field.grid
-    if g.nx % factor or g.ny % factor:
-        raise ShapeMismatchError("coarsening factor must divide the grid size")
-    coarse = Grid(nx=g.nx // factor, ny=g.ny // factor, h=g.h * factor)
-    vals = field.values.reshape(coarse.nx, factor, coarse.ny, factor).mean(axis=(1, 3))
-    return ScalarField(vals, coarse)
+    factor = 1
+    while (g.nx // factor) * (g.ny // factor) > EXACT_OT_MAX_POINTS:
+        factor *= 2
+        if g.nx % factor or g.ny % factor:
+            raise InputFormatError("grid not block-aggregatable; choose power-of-two sizes")
+    blocks = Grid(nx=g.nx // factor, ny=g.ny // factor, h=g.h * factor)
+    masses = (field.values * g.cell_area).reshape(
+        blocks.nx, factor, blocks.ny, factor).sum(axis=(1, 3)).ravel()
+    keep = masses > 0
+    return DiscreteMeasure(weights=masses[keep], points=blocks.cell_points()[keep])
+
+
+def field_transport_value(mu: ScalarField, nu, p: float) -> float:
+    """W_p^p from a grid density to a second density on the same grid or to
+    a DiscreteMeasure of the same mass, exact between the block_points of
+    each density (nu's masses rescaled to mu's total). NonFiniteCostError if
+    a cost |x - y|^p overflows."""
+    a = block_points(mu)
+    if isinstance(nu, ScalarField):
+        if nu.grid != mu.grid:
+            raise ShapeMismatchError("fields live on different grids")
+        nu = block_points(nu)
+    b = DiscreteMeasure(weights=nu.weights * (a.total_mass / nu.total_mass), points=nu.points)
+    return solve_discrete_ot(a, b, lp_cost_matrix(a, b, p)).value
 
 
 def field_w1(a: ScalarField, b: ScalarField) -> float:
-    """W_1 between two grid densities of equal mass, computed exactly on cell
-    centers, after halving the grid until it has at most 400 cells so the
-    transport stays at desk scale."""
-    grid = a.grid
-    if b.grid != grid:
-        raise ShapeMismatchError("fields live on different grids")
-    factor = 1
-    while (grid.nx // factor) * (grid.ny // factor) > 400:
-        factor *= 2
-        if grid.nx % factor or grid.ny % factor:
-            raise ShapeMismatchError("grid not coarsenable to the requested size")
-    if factor > 1:
-        a = coarsen_field(a, factor)
-        b = coarsen_field(b, factor)
-        grid = a.grid
-    wa = (a.values * grid.cell_area).ravel()
-    wb = (b.values * grid.cell_area).ravel()
-    wb *= wa.sum() / wb.sum()
-    pts = grid.cell_points()
-    keep_a = wa > 0
-    keep_b = wb > 0
-    mu = DiscreteMeasure(weights=wa[keep_a], points=pts[keep_a])
-    nu = DiscreteMeasure(weights=wb[keep_b], points=pts[keep_b])
-    return solve_discrete_ot(mu, nu, pairwise_distances(mu.points, nu.points)).value
+    """W_1 between two grid densities of equal mass (field_transport_value
+    at p = 1)."""
+    return field_transport_value(a, b, 1.0)

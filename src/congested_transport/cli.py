@@ -319,22 +319,23 @@ def _cmd_city(args) -> int:
             "value": res.value,
             "iterations": res.iterations,
             "radius_analytic": urbanplan.quadratic_city_radius(lam),
-            "multiplier": res.multiplier,
+            "multiplier": res.solution.multiplier,
         }
-        potential = res.potential
+        potential = res.solution.potential
+    sol = res.solution
     results.update({
         "converged": res.converged,
         "decomposition": {
-            "transport": res.transport_value,
-            "spread": res.spread_value,
-            "concentration": res.concentration_value,
+            "transport": sol.transport_value,
+            "spread": sol.value - sol.transport_value,
+            "concentration": res.value - sol.value,
         },
-        "residuals": {"characterization_l1": res.residual},
+        "residuals": {"characterization_l1": sol.residual},
     })
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    grids.save_scalar_csv(res.mu, out / "mu.csv")
+    grids.save_scalar_csv(sol.mu, out / "mu.csv")
     if potential is not None:
         grids.save_scalar_csv(potential, out / "potential.csv")
     _csv(out / "nu_atoms.csv",

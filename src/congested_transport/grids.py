@@ -1,7 +1,8 @@
 """Regular staggered grids: cell-centered scalar fields, face-normal vector
 fields with a built-in no-flux boundary, discrete divergence, and CSV I/O.
-This module owns the two grid rules the solvers share: the cell of a point
-(``Grid.cell_of``) and the RMS co-location of face values (``_cell_rms``).
+This module owns the three grid rules the solvers share: the cell of a point
+(``Grid.cell_of``), the RMS co-location of face values (``_cell_rms``) and the
+divergence stencil (``_divergence``).
 """
 
 from __future__ import annotations
@@ -30,8 +31,10 @@ class Grid:
     def __post_init__(self):
         if self.nx < 2 or self.ny < 1:
             raise InputFormatError(f"grid must have nx >= 2, ny >= 1, got {self.nx}x{self.ny}")
-        if not 0 < self.h < np.inf:
-            raise InputFormatError(f"grid spacing must be positive and finite, got {self.h}")
+        area = self.h * self.h  # 8/h^2 bounds the five-point Laplacian's eigenvalues
+        if not (self.h > 0 and 0 < area < np.inf and 8.0 / area < np.inf):
+            raise InputFormatError(f"grid spacing must be positive with a finite h^2 and "
+                                   f"8/h^2, got {self.h}")
 
     @property
     def n_cells(self) -> int:
@@ -161,8 +164,17 @@ def divergence(v: VectorField, grid: Grid) -> ScalarField:
     """
     if v.grid != grid:
         raise ShapeMismatchError("vector field was built on a different grid")
-    div = (v.vx[1:, :] - v.vx[:-1, :] + v.vy[:, 1:] - v.vy[:, :-1]) / grid.h
-    return ScalarField(div, grid)
+    return ScalarField(_divergence(v.vx, v.vy, grid.h), grid)
+
+
+def _divergence(fx, fy, h) -> np.ndarray:
+    """The stencil of divergence on face arrays; private, as the ADMM calls it
+    every iteration."""
+    d = fx[1:] - fx[:-1]
+    d += fy[:, 1:]
+    d -= fy[:, :-1]
+    d /= h
+    return d
 
 
 # ---------------------------------------------------------------------------

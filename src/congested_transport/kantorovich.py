@@ -135,8 +135,13 @@ def lp_cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> np.nda
     solvers reject as a non-finite cost."""
     if mu.points is None or nu.points is None:
         raise InputFormatError("lp metric requires point coordinates")
+    return _lp_cost(mu.points, nu.points, p)
+
+
+def _lp_cost(x: np.ndarray, y: np.ndarray, p: float) -> np.ndarray:
+    """lp_cost_matrix on point arrays, for callers that hold no weights."""
     with np.errstate(over="ignore", divide="ignore"):
-        return np.power(pairwise_distances(mu.points, nu.points), p)
+        return np.power(pairwise_distances(x, y), p)
 
 
 def _project_simplex(v: np.ndarray, total: float) -> np.ndarray:

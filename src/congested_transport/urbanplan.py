@@ -20,7 +20,10 @@ margin) the step may have closed, in the manner of Elkan's bound-pruned
 k-means (ICML 2003), so it returns the dense argmin's floats.
 The level C is the float-exact root of a monotone mass, found by regula
 falsi and finished to adjacent floats, so it does not depend on the search
-path; the pole search evaluates each golden-section probe once.
+path; the pole search evaluates each golden-section probe once. The city
+solvers return the chosen CitySolution, from which the report reads the
+transport and spread terms. eval_total takes its transport term from
+beckmann.field_transport_value, on block sums at block centers.
 """
 
 from __future__ import annotations
@@ -30,18 +33,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .beckmann import block_points, field_transport_value
 from .errors import (
     BisectionFailureError,
     DomainTooSmallError,
     InputFormatError,
     MassMismatchError,
+    NonFiniteCostError,
 )
 from .grids import Grid, ScalarField
-from .kantorovich import DiscreteMeasure, _project_simplex, pairwise_distances, solve_discrete_ot
+from .kantorovich import (DiscreteMeasure, _lp_cost, _project_simplex, pairwise_distances,
+                          solve_discrete_ot)
 
-# eval_total block-aggregates a grid density until it has at most this many
-# mass points (in total, not per side) before its exact transport solve.
-EXACT_OT_MAX_POINTS = 600
 # GridAtomTransport solves exactly when the occupied cells plus the atoms are
 # at most this many points: the exact path costs roughly one short Dijkstra
 # sweep per point. Larger instances go through the dual ascent.
@@ -155,8 +158,10 @@ class GridAtomTransport:
         self.cell_points = cell_points
         self.atom_points = np.atleast_2d(atom_points)
         self.p = p
-        self.cost = np.power(pairwise_distances(cell_points, self.atom_points), p)
+        self.cost = _lp_cost(cell_points, self.atom_points, p)
         self._cost_max = float(np.abs(self.cost).max())
+        if not math.isfinite(self._cost_max):
+            raise NonFiniteCostError(f"grid-to-atom cost |x - y|^{p} overflows the floats")
         self._scale = float(self.cost.max() - self.cost.min()) + 1e-12
         self.beta = np.zeros(self.atom_points.shape[0])
         self._step = None  # last accepted ascent step, kept warm across calls
@@ -285,9 +290,11 @@ def eval_total(mu: ScalarField, nu, p: float, spread: SpreadSpec,
                conc: ConcentrationSpec | None, grid: Grid) -> CityValue:
     """Value of the full functional W_p^p + integral f(u) + G(nu).
 
-    nu may be an atom cloud or a second grid density (grid densities are
-    block-aggregated to at most EXACT_OT_MAX_POINTS mass points before the
-    exact transport solve). An atomic G with a non-atomic nu is infeasible.
+    nu may be an atom cloud or a second grid density. The transport term is
+    beckmann.field_transport_value, exact between the block sums of each
+    density (beckmann.block_points) and the atoms; an interaction G of a
+    density pairs the same block sums. An atomic G with a non-atomic nu is
+    infeasible.
     """
     if abs(mu.total_mass - nu.total_mass) > 1e-8 * max(mu.total_mass, nu.total_mass):
         raise MassMismatchError("mu and nu must carry equal mass")
@@ -301,46 +308,12 @@ def eval_total(mu: ScalarField, nu, p: float, spread: SpreadSpec,
             return CityValue(np.inf, np.nan, spread_val, np.inf, infeasible=True)
         conc_val = float(np.sum(conc.g(nu.weights)))
     else:
-        pts, w = (nu.points, nu.weights) if atomic else _field_atoms(nu, grid)
-        d = pairwise_distances(pts, pts)
-        conc_val = float(w @ conc.h(d) @ w)
+        atoms = nu if atomic else block_points(nu)
+        d = pairwise_distances(atoms.points, atoms.points)
+        conc_val = float(atoms.weights @ conc.h(d) @ atoms.weights)
 
-    transport = _transport_value(mu, nu, p, grid)
+    transport = field_transport_value(mu, nu, p)
     return CityValue(transport + spread_val + conc_val, transport, spread_val, conc_val)
-
-
-def _field_atoms(fld: ScalarField, grid: Grid):
-    """Aggregate a grid density to at most EXACT_OT_MAX_POINTS mass points in
-    total (block sums at block barycenters)."""
-    factor = 1
-    while (grid.nx // factor) * (grid.ny // factor) > EXACT_OT_MAX_POINTS:
-        factor *= 2
-        if grid.nx % factor or grid.ny % factor:
-            raise InputFormatError("grid not block-aggregatable; choose power-of-two sizes")
-    vals = fld.values
-    nxc, nyc = grid.nx // factor, grid.ny // factor
-    masses = (vals * grid.cell_area).reshape(nxc, factor, nyc, factor).sum(axis=(1, 3))
-    xc, yc = grid.cell_centers()
-    mx = (vals * xc * grid.cell_area).reshape(nxc, factor, nyc, factor).sum(axis=(1, 3))
-    my = (vals * yc * grid.cell_area).reshape(nxc, factor, nyc, factor).sum(axis=(1, 3))
-    keep = masses.ravel() > 0
-    m = masses.ravel()[keep]
-    return np.column_stack([mx.ravel()[keep] / m, my.ravel()[keep] / m]), m
-
-
-def _transport_value(mu: ScalarField, nu, p: float, grid: Grid) -> float:
-    atomic = isinstance(nu, DiscreteMeasure)
-    if not atomic and np.array_equal(mu.values, nu.values):
-        return 0.0
-    pts_a, w_a = _field_atoms(mu, grid)
-    pts_b, w_b = (nu.points, nu.weights) if atomic else _field_atoms(nu, grid)
-    keep_b = w_b > 0
-    pts_b, w_b = pts_b[keep_b], w_b[keep_b]
-    w_b = w_b * (w_a.sum() / w_b.sum())
-    cost = np.power(pairwise_distances(pts_a, pts_b), p)
-    ma = DiscreteMeasure(weights=w_a, points=pts_a)
-    mb = DiscreteMeasure(weights=w_b, points=pts_b)
-    return solve_discrete_ot(ma, mb, cost).value
 
 
 # ---------------------------------------------------------------------------
@@ -511,18 +484,15 @@ def quadratic_city_profile(grid: Grid, lam: float) -> ScalarField:
 
 @dataclass
 class QuadraticCityResult:
-    mu: ScalarField
+    """The best state's solve_p_nu solution, atoms and value; its
+    concentration term is value - solution.value."""
+
+    solution: CitySolution
     nu: DiscreteMeasure
     value: float
     history: list[float]
     converged: bool
     iterations: int
-    potential: ScalarField
-    multiplier: float
-    transport_value: float = 0.0
-    spread_value: float = 0.0
-    concentration_value: float = 0.0
-    residual: float = 0.0
 
 
 def _uniform_atoms(grid: Grid, n_side: int):
@@ -579,7 +549,7 @@ def solve_quadratic_city(lam: float, grid: Grid, tol: float = 1e-5,
         inner_converged = inner_converged and sol.converged
         mu = sol.mu
         masses = (mu.values * grid.cell_area).ravel()
-        g_val = 2.0 * lam * _weighted_variance(atom_pts, atom_w)
+        g_val = 2.0 * lam * _weighted_moments(atom_pts, atom_w)[1]
         value = sol.value + g_val
         prev_best = best_value
         if value <= best_value:
@@ -605,45 +575,27 @@ def solve_quadratic_city(lam: float, grid: Grid, tol: float = 1e-5,
         beta = sol.beta[keep]  # the surviving atoms' potentials warm-start the next solve
 
     sol, pts, w = last_sol
-    return QuadraticCityResult(
-        mu=sol.mu,
-        nu=DiscreteMeasure(weights=w, points=pts),
-        value=best_value,
-        history=history,
-        converged=converged,
-        iterations=it,
-        potential=sol.potential,
-        multiplier=sol.multiplier,
-        transport_value=sol.transport_value,
-        spread_value=sol.value - sol.transport_value,
-        concentration_value=best_value - sol.value,
-        residual=sol.residual,
-    )
+    return QuadraticCityResult(solution=sol, nu=DiscreteMeasure(weights=w, points=pts),
+                               value=best_value, history=history, converged=converged,
+                               iterations=it)
 
 
-def _weighted_variance(pts: np.ndarray, w: np.ndarray) -> float:
-    """Trace of the covariance of a weighted cloud (weights normalized)."""
+def _weighted_moments(pts: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float]:
+    """Barycenter and trace of the covariance of a weighted cloud (weights
+    normalized)."""
     ww = w / w.sum()
     center = ww @ pts
     d = pts - center[None, :]
-    return float(ww @ np.sum(d * d, axis=1))
+    return center, float(ww @ np.sum(d * d, axis=1))
 
 
 def barycenter_of(field: ScalarField) -> np.ndarray:
-    xc, yc = field.grid.cell_centers()
-    masses = field.values * field.grid.cell_area
-    total = masses.sum()
-    return np.array([float((masses * xc).sum() / total), float((masses * yc).sum() / total)])
+    return _weighted_moments(field.grid.cell_points(), field.values.ravel())[0]
 
 
 def second_moment_of(field: ScalarField) -> float:
     """Second moment of a density about its barycenter."""
-    xc, yc = field.grid.cell_centers()
-    masses = field.values * field.grid.cell_area
-    total = masses.sum()
-    center = barycenter_of(field)
-    rho2 = (xc - center[0]) ** 2 + (yc - center[1]) ** 2
-    return float((masses * rho2).sum() / total)
+    return _weighted_moments(field.grid.cell_points(), field.values.ravel())[1]
 
 
 # ---------------------------------------------------------------------------
@@ -651,19 +603,17 @@ def second_moment_of(field: ScalarField) -> float:
 
 @dataclass
 class AtomicCityResult:
+    """The best pole count k and its solve_p_nu solution, poles and value;
+    its concentration term is value - solution.value."""
+
     k: int
-    mu: ScalarField
+    solution: CitySolution
     nu: DiscreteMeasure
     value: float
     per_k: dict[int, float]
     per_k_converged: dict[int, bool]
     catchments_connected: bool
     converged: bool
-    assignment: np.ndarray | None = None
-    transport_value: float = 0.0
-    spread_value: float = 0.0
-    concentration_value: float = 0.0
-    residual: float = 0.0
 
 
 def _initial_poles(grid: Grid, k: int) -> np.ndarray:
@@ -786,27 +736,17 @@ def minimize_with_atomic_G(p: float, spread: SpreadSpec, conc: ConcentrationSpec
                     _catchments_connected(sol.assignment, grid, masses))
 
     value, k, sol, pts, w, connected = best
-    return AtomicCityResult(
-        k=k,
-        mu=sol.mu,
-        nu=DiscreteMeasure(weights=w, points=pts),
-        value=value,
-        per_k=per_k,
-        per_k_converged=per_k_converged,
-        catchments_connected=connected,
-        converged=per_k_converged[k],
-        assignment=sol.assignment,
-        transport_value=sol.transport_value,
-        spread_value=sol.value - sol.transport_value,
-        concentration_value=value - sol.value,
-        residual=sol.residual,
-    )
+    return AtomicCityResult(k=k, solution=sol, nu=DiscreteMeasure(weights=w, points=pts),
+                            value=value, per_k=per_k, per_k_converged=per_k_converged,
+                            catchments_connected=connected, converged=per_k_converged[k])
 
 
+@np.errstate(over="ignore")
 def _pole_best_position(points: np.ndarray, masses: np.ndarray, start: np.ndarray,
                         p: float) -> np.ndarray:
     """Minimize sum_i m_i |x_i - y|^p over y by exact barycenter (p = 2) or
-    per-coordinate golden-section descent."""
+    per-coordinate golden-section descent. A probe whose cost overflows is
+    inf, worse than any finite one."""
     if p == 2.0:
         return (masses @ points) / masses.sum()
 

@@ -7,7 +7,6 @@ from congested_transport.beckmann import (
     _Anderson,
     _StaggeredOps,
     cloud_to_field,
-    coarsen_field,
     field_w1,
     grid_geodesic_distances,
     rasterize_transport_density,
@@ -565,13 +564,10 @@ def test_trajectory_determinism():
     assert np.array_equal(t1.intensity.values, t2.intensity.values)
 
 
-def test_field_w1_and_coarsen():
+def test_field_w1_of_two_point_masses():
     g = Grid(nx=16, ny=16, h=1.0 / 16)
     xc, yc = g.cell_centers()
     a = np.zeros((16, 16)); a[4, 8] = 1.0 / g.cell_area
     b = np.zeros((16, 16)); b[12, 8] = 1.0 / g.cell_area
     d = field_w1(ScalarField(a, g), ScalarField(b, g))
     assert d == pytest.approx(8 * g.h, rel=1e-9)
-    coarse = coarsen_field(ScalarField(a, g), 4)
-    assert coarse.grid.nx == 4
-    assert coarse.total_mass == pytest.approx(1.0, rel=1e-12)

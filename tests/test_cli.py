@@ -283,6 +283,23 @@ def test_beckmann_cost_overflow_is_one_error_line(tmp_path, capsys, H, scale):
     assert not (tmp_path / "run" / "report.json").exists()
 
 
+@pytest.mark.parametrize("h", [1e200, 1e-170], ids=["area-overflows", "area-underflows"])
+def test_beckmann_grid_spacing_outside_the_floats(tmp_path, capsys, h):
+    # h^2 overflows to inf, or underflows to 0 (so 8/h^2 is inf): the sidecar
+    # is refused with one error, before any numpy warning; mu = nu
+    for name in ("mu.csv", "nu.csv"):
+        np.savetxt(tmp_path / name, np.ones((8, 8)), delimiter=",")
+        write(tmp_path / f"{name}.grid", f"grid 8 8 {h!r}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["beckmann", "--mu", str(tmp_path / "mu.csv"), "--nu", str(tmp_path / "nu.csv"),
+                   "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert _one_error_line(capsys) == (f"error: grid spacing must be positive with a finite "
+                                       f"h^2 and 8/h^2, got {h!r}\n")
+    assert not (tmp_path / "run").exists()
+
+
 def test_ot_mass_balance_is_relative(tmp_path, capsys):
     write(tmp_path / "a.pts", "point 0.0 1e-14\n")
     write(tmp_path / "b.pts", "point 1.0 2e-14\n")
@@ -722,6 +739,23 @@ def test_city_spec_rejected_before_output(tmp_path, capsys, cfg):
     rc = main(["city", "--config", str(tmp_path / "city.json"), "--out", str(tmp_path / "run")])
     assert rc == 1
     _one_error_line(capsys)
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("cfg, message", [
+    ({"grid": {"nx": 8, "ny": 8, "h": 1e200}},
+     "grid spacing must be positive with a finite h^2 and 8/h^2, got 1e+200"),
+    ({**_ATOMIC, "p": 700, "grid": {"nx": 8, "ny": 8, "h": 0.5}},
+     "grid-to-atom cost |x - y|^700.0 overflows the floats"),
+], ids=["grid-spacing", "cost-overflow"])
+def test_city_out_of_float_range_is_one_error_line(tmp_path, capsys, cfg, message):
+    write(tmp_path / "city.json", json.dumps(cfg))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["city", "--config", str(tmp_path / "city.json"),
+                   "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert _one_error_line(capsys) == f"error: {message}\n"
     assert not (tmp_path / "run").exists()
 
 

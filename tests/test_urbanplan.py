@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,10 +10,12 @@ from congested_transport.errors import (
     DomainTooSmallError,
     InputFormatError,
     MassMismatchError,
+    NonFiniteCostError,
 )
+from congested_transport.beckmann import field_w1
 from congested_transport.grids import Grid, ScalarField
-from congested_transport import urbanplan
-from congested_transport.kantorovich import DiscreteMeasure, solve_discrete_ot
+from congested_transport import beckmann, urbanplan
+from congested_transport.kantorovich import DiscreteMeasure, lp_cost_matrix, solve_discrete_ot
 from congested_transport.urbanplan import (
     ConcentrationSpec,
     GridAtomTransport,
@@ -19,7 +23,7 @@ from congested_transport.urbanplan import (
     _mass_for_level,
     _pole_best_position,
     _solve_level,
-    _weighted_variance,
+    _weighted_moments,
     barycenter_of,
     eval_total,
     minimize_with_atomic_G,
@@ -129,7 +133,7 @@ def test_eval_total_aggregates_a_large_grid_in_blocks():
     # 32^2 cells exceed EXACT_OT_MAX_POINTS, so the density is summed over
     # 2x2 blocks: W_2^2 to the center is that of the 16^2 block centers,
     # (1/6)(1 - 1/16^2), not the (1/6)(1 - 1/32^2) of the cell centers
-    assert 32 * 32 > urbanplan.EXACT_OT_MAX_POINTS >= 16 * 16
+    assert 32 * 32 > beckmann.EXACT_OT_MAX_POINTS >= 16 * 16
     g = Grid(nx=32, ny=32, h=1.0 / 32)
     center = DiscreteMeasure(weights=np.ones(1), points=np.array([[0.5, 0.5]]))
     val = eval_total(ScalarField.constant(g, 1.0), center, 2.0, SpreadSpec.quadratic(), None, g)
@@ -141,6 +145,37 @@ def test_eval_total_refuses_a_grid_that_blocks_do_not_tile():
     center = DiscreteMeasure(weights=np.ones(1), points=np.array([[0.5, 0.5]]))
     with pytest.raises(InputFormatError, match="block-aggregatable"):
         eval_total(ScalarField.constant(g, 1.0), center, 2.0, SpreadSpec.quadratic(), None, g)
+
+
+def test_eval_total_block_centers_track_the_unaggregated_value():
+    # one blob on a background moved right: the background mass in a block
+    # stays put at zero cost when both densities put it at the block center,
+    # as it does unaggregated; block barycenters move it apart by 3.3e-4
+    g = Grid(nx=32, ny=32, h=1.0 / 32)
+    xc, yc = g.cell_centers()
+    a = np.exp(-((xc - 0.3) ** 2 + (yc - 0.5) ** 2) / (2 * 0.06 ** 2)) + 0.05
+    b = np.exp(-((xc - 0.7) ** 2 + (yc - 0.5) ** 2) / (2 * 0.06 ** 2)) + 0.05
+    a /= a.sum() * g.cell_area
+    b /= b.sum() * g.cell_area
+    wa, wb = (a * g.cell_area).ravel(), (b * g.cell_area).ravel()
+    mu = DiscreteMeasure(weights=wa, points=g.cell_points())
+    nu = DiscreteMeasure(weights=wb * (wa.sum() / wb.sum()), points=g.cell_points())
+    exact = solve_discrete_ot(mu, nu, lp_cost_matrix(mu, nu, 1.0)).value
+    a, b = ScalarField(a, g), ScalarField(b, g)
+    term = eval_total(a, b, 1.0, SpreadSpec.quadratic(), None, g).transport
+    assert abs(term - exact) <= 2e-4
+    assert field_w1(a, b) == term
+
+
+def test_eval_total_cost_overflow_is_an_error():
+    # |x - y|^700 overflows from the corner atom to the far cells
+    g = Grid(nx=8, ny=8, h=0.5)
+    corner = DiscreteMeasure(weights=np.ones(1), points=np.zeros((1, 2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteCostError, match="non-finite"):
+            eval_total(ScalarField.constant(g, 1.0 / 16), corner, 700.0, SpreadSpec.quadratic(),
+                       None, g)
 
 
 @pytest.mark.parametrize("total", [1e-12, 1.0, 1e12])
@@ -234,19 +269,19 @@ def test_quadratic_city_small_grid():
     g = Grid(nx=48, ny=48, h=3.0 / 48)
     res = solve_quadratic_city(1.0, g, tol=1e-6, n_atom_side=12)
     prof = quadratic_city_profile(g, 1.0)
-    l1 = g.cell_area * np.abs(res.mu.values - prof.values).sum()
+    l1 = g.cell_area * np.abs(res.solution.mu.values - prof.values).sum()
     assert l1 <= 0.05
     # accepted-iteration values never increase
     hist = np.array(res.history)
     assert np.all(np.diff(hist) <= 1e-10)
     # barycenters of residents and services coincide
-    b_mu = barycenter_of(res.mu)
+    b_mu = barycenter_of(res.solution.mu)
     b_nu = (res.nu.weights / res.nu.weights.sum()) @ res.nu.points
     assert np.abs(b_mu - b_nu).max() <= g.h
     # services contract toward the center with the predicted ratio
-    ratio = _weighted_variance(res.nu.points, res.nu.weights) / second_moment_of(res.mu)
+    ratio = _weighted_moments(res.nu.points, res.nu.weights)[1] / second_moment_of(res.solution.mu)
     assert abs(ratio - 1.0 / 9.0) <= 0.1 / 9.0
-    assert abs(res.mu.total_mass - 1.0) <= 1e-8
+    assert abs(res.solution.mu.total_mass - 1.0) <= 1e-8
 
 
 def test_city_solvers_report_an_inner_solve_that_did_not_converge(monkeypatch):
@@ -265,7 +300,7 @@ def test_quadratic_city_contraction_across_lambda():
     moments = []
     for lam in (1.0, 4.0, 16.0):
         res = solve_quadratic_city(lam, g, tol=1e-5, n_atom_side=10)
-        moments.append(_weighted_variance(res.nu.points, res.nu.weights))
+        moments.append(_weighted_moments(res.nu.points, res.nu.weights)[1])
     assert moments[0] > moments[1] > moments[2]
 
 
@@ -277,11 +312,11 @@ def test_atomic_single_pole_at_barycenter():
     res = minimize_with_atomic_G(2.0, SpreadSpec.quadratic(),
                                  ConcentrationSpec.atomic_power(0.5), 1, g, tol=1e-7)
     assert res.k == 1
-    b_mu = barycenter_of(res.mu)
+    b_mu = barycenter_of(res.solution.mu)
     assert np.abs(res.nu.points[0] - b_mu).max() <= g.h
     assert res.catchments_connected
     # local optimality of the pole position against a 2-D probe oracle
-    masses = (res.mu.values * g.cell_area).ravel()
+    masses = (res.solution.mu.values * g.cell_area).ravel()
     pts = g.cell_points()
 
     def pole_cost(y):
